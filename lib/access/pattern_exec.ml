@@ -2,14 +2,6 @@ type item = Store.Tag_index.item
 
 let item_key (i : item) = (i.doc, i.start)
 
-let to_sj (i : item) =
-  {
-    Structural_join.doc = i.doc;
-    start = i.start;
-    end_ = i.end_;
-    level = i.level;
-  }
-
 (* Owners of phrase occurrences, as items. *)
 let phrase_owner_items ctx phrase =
   List.filter_map
@@ -82,8 +74,8 @@ let intersect a b =
 
 (* ancestors (or ancestor-or-self) of [descendants] among [candidates] *)
 let semi_join_ancestors ?(or_self = false) ~axis candidates descendants =
-  let anc = Array.of_list (List.map to_sj candidates) in
-  let desc = Array.of_list (List.map to_sj descendants) in
+  let anc = Array.of_list candidates in
+  let desc = Array.of_list descendants in
   let matched = Hashtbl.create 64 in
   let _ =
     Structural_join.join ~axis ~ancestors:anc ~descendants:desc
@@ -97,28 +89,44 @@ let semi_join_ancestors ?(or_self = false) ~axis candidates descendants =
       (Array.to_list desc);
   List.filter (fun c -> Hashtbl.mem matched (item_key c)) candidates
 
-(* descendants (or self) of [ancestors] among [candidates] *)
+(* descendants (or self) of [ancestors] among [candidates]: one merge
+   pass over both document-ordered lists. The stack holds the chain of
+   open ancestors containing the current candidate, innermost first,
+   so the deepest strict ancestor is the top — or the entry below it
+   when the candidate is itself an ancestor. *)
 let semi_join_descendants ?(or_self = false) ~axis ancestors candidates =
-  let anc = Array.of_list (List.map to_sj ancestors) in
-  let desc = Array.of_list (List.map to_sj candidates) in
-  let matched = Hashtbl.create 64 in
-  let _ =
-    Structural_join.join ~axis ~ancestors:anc ~descendants:desc
-      ~emit:(fun _ d -> Hashtbl.replace matched (d.doc, d.start) ())
-      ()
+  let anc : item array = Array.of_list ancestors in
+  let na = Array.length anc in
+  let ai = ref 0 and stack = ref [] in
+  let rec pop_closed (x : item) =
+    match !stack with
+    | (top : item) :: rest
+      when top.doc < x.doc || (top.doc = x.doc && top.end_ < x.start) ->
+      stack := rest;
+      pop_closed x
+    | _ :: _ | [] -> ()
   in
-  if or_self then begin
-    let anc_keys = Hashtbl.create 64 in
-    List.iter
-      (fun (a : item) -> Hashtbl.replace anc_keys (item_key a) ())
-      ancestors;
-    List.iter
-      (fun (c : item) ->
-        if Hashtbl.mem anc_keys (item_key c) then
-          Hashtbl.replace matched (item_key c) ())
-      candidates
-  end;
-  List.filter (fun c -> Hashtbl.mem matched (item_key c)) candidates
+  let parent_ok (p : item) (c : item) =
+    p.doc = c.doc && (axis = `Ancestor_descendant || p.level = c.level - 1)
+  in
+  List.filter
+    (fun (c : item) ->
+      while
+        !ai < na
+        && (anc.(!ai).doc < c.doc
+           || (anc.(!ai).doc = c.doc && anc.(!ai).start <= c.start))
+      do
+        pop_closed anc.(!ai);
+        stack := anc.(!ai) :: !stack;
+        incr ai
+      done;
+      pop_closed c;
+      match !stack with
+      | top :: rest when top.doc = c.doc && top.start = c.start -> (
+        or_self || match rest with p :: _ -> parent_ok p c | [] -> false)
+      | top :: _ -> parent_ok top c
+      | [] -> false)
+    candidates
 
 let sj_axis = function
   | Core.Pattern.Child -> `Parent_child
@@ -213,46 +221,58 @@ let access_to_string = function
   | Comp1 -> "comp1"
   | Comp2 -> "comp2"
 
-let scored_matches ?(trace = Core.Trace.disabled) ?mode ?weights
+(* The elements [var] binds to, as a document-ordered array. A
+   one-node tag pattern reads the tag index's own array — no copy, no
+   semi-join. *)
+let anchors ctx (pat : Core.Pattern.t) ~var =
+  match pat.root with
+  | { var = v; pred = Core.Pattern.Tag tag; children = []; _ } when v = var
+    -> begin
+    match Store.Catalog.tag_id ctx.Ctx.catalog tag with
+    | Some id -> Store.Tag_index.nodes ctx.Ctx.tags ~tag:id
+    | None -> [||]
+  end
+  | _ -> Array.of_list (matches ctx pat ~var)
+
+let run ?(trace = Core.Trace.disabled) ?mode ?weights
     ?(access = Term_join Term_join.Plain) ctx (pat : Core.Pattern.t)
-    ~struct_var ~terms =
-  let anchors =
-    Core.Trace.span_list trace "PatternMatch" (fun () ->
-        matches ctx pat ~var:struct_var)
+    ~struct_var ~terms ~emit () =
+  let matched = ref [||] in
+  let (_ : int) =
+    Core.Trace.span_count trace "PatternMatch" (fun () ->
+        matched := anchors ctx pat ~var:struct_var;
+        Array.length !matched)
   in
-  let scored =
+  (* a scored node qualifies when it is an anchor or lies inside one,
+     i.e. inside one of the disjoint outermost anchor subtrees *)
+  let within = Structural_join.outermost !matched in
+  let kept = ref 0 in
+  let keep (n : Scored_node.t) =
+    if Structural_join.inside within ~doc:n.doc ~start:n.start then begin
+      incr kept;
+      emit n
+    end
+  in
+  let (_ : int) =
     match access with
-    | Term_join variant -> Term_join.to_list ~trace ~variant ?mode ?weights ctx ~terms
+    | Term_join variant ->
+      Term_join.run ~trace ~variant ?mode ?weights ctx ~terms ~emit:keep ()
     | Gen_meet { use_skips } ->
-      (* scope the meet to the disjoint anchor subtrees: only
-         occurrences inside an anchor can survive the semi-join
-         below, so nothing outside them needs grouping, and the
+      (* scope the meet to the anchor subtrees: nothing outside them
+         can qualify, so nothing outside them needs grouping, and the
          posting cursors skip across the gaps *)
-      let within =
-        Structural_join.outermost (Array.of_list (List.map to_sj anchors))
-      in
-      Gen_meet.to_list ~trace ?mode ?weights ~within ~use_skips ctx ~terms
-    | Comp1 -> Composite.comp1_list ~trace ?mode ?weights ctx ~terms
-    | Comp2 -> Composite.comp2_list ~trace ?mode ?weights ctx ~terms
+      Gen_meet.run ~trace ?mode ?weights ~within ~use_skips ctx ~terms
+        ~emit:keep ()
+    | Comp1 -> Composite.comp1 ~trace ?mode ?weights ctx ~terms ~emit:keep ()
+    | Comp2 -> Composite.comp2 ~trace ?mode ?weights ctx ~terms ~emit:keep ()
   in
-  (* keep scored nodes that are the anchor or lie inside one *)
-  let as_items =
-    List.map
-      (fun (n : Scored_node.t) ->
-        {
-          Store.Tag_index.doc = n.doc;
-          start = n.start;
-          end_ = n.end_;
-          level = n.level;
-        })
-      scored
+  !kept
+
+let scored_matches ?trace ?mode ?weights ?access ctx pat ~struct_var ~terms =
+  let acc = ref [] in
+  let (_ : int) =
+    run ?trace ?mode ?weights ?access ctx pat ~struct_var ~terms
+      ~emit:(fun n -> acc := n :: !acc)
+      ()
   in
-  let kept =
-    semi_join_descendants ~or_self:true ~axis:`Ancestor_descendant anchors
-      as_items
-  in
-  let kept_keys = Hashtbl.create 64 in
-  List.iter (fun (i : item) -> Hashtbl.replace kept_keys (item_key i) ()) kept;
-  List.filter
-    (fun (n : Scored_node.t) -> Hashtbl.mem kept_keys (n.doc, n.start))
-    scored
+  List.sort Scored_node.compare_pos !acc

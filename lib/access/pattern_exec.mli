@@ -45,6 +45,31 @@ val access_operator : access -> string
 val access_to_string : access -> string
 (** Stable lower-case rendering for plan descriptions and logs. *)
 
+val anchors : Ctx.t -> Core.Pattern.t -> var:int -> Store.Tag_index.item array
+(** {!matches} as a document-ordered array. For a one-node [Tag]
+    pattern whose root is [var] this is the tag index's own array,
+    not a copy: it must not be mutated. *)
+
+val run :
+  ?trace:Core.Trace.t ->
+  ?mode:Counter_scoring.mode ->
+  ?weights:float array ->
+  ?access:access ->
+  Ctx.t ->
+  Core.Pattern.t ->
+  struct_var:int ->
+  terms:string list ->
+  emit:(Scored_node.t -> unit) ->
+  unit ->
+  int
+(** The emit-style form of {!scored_matches}: calls [emit] for every
+    scored element lying inside (or equal to) a match of
+    [struct_var], in the access method's emission order, and returns
+    how many it emitted. Each node is checked as the method emits it,
+    with one binary search over the outermost anchor intervals
+    ({!Structural_join.outermost}, {!Structural_join.inside}); nothing
+    is materialized. *)
+
 val scored_matches :
   ?trace:Core.Trace.t ->
   ?mode:Counter_scoring.mode ->
@@ -63,4 +88,5 @@ val scored_matches :
     component. Every [access] yields the identical result set;
     [Gen_meet] additionally scopes its grouping to the anchor
     subtrees, so its cost tracks the anchors' occupancy rather than
-    the whole collection. Document order. *)
+    the whole collection. Document order; {!run} collected and
+    sorted. *)

@@ -1,9 +1,9 @@
 type emitter = emit:(Scored_node.t -> unit) -> unit -> int
 
 let top_k k run =
-  let acc = Top_k.create k in
-  let _ = run ~emit:(fun n -> Top_k.add acc ~score:n.Scored_node.score n) () in
-  List.map snd (Top_k.to_sorted_list acc)
+  let acc = Core.Top_k.create k in
+  let _ = run ~emit:(fun n -> Core.Top_k.add acc ~score:n.Scored_node.score n) () in
+  List.map snd (Core.Top_k.to_sorted_list acc)
 
 (* ------------------------------------------------------------------ *)
 (* Top-K document retrieval with max-score pruning.
@@ -79,9 +79,9 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
          parallel merge use — without this the heap would keep an
          arbitrary tied doc and partitioned execution could disagree
          with sequential *)
-      let heap = Top_k.create ~tie:(fun a b -> compare b a) k in
+      let heap = Core.Top_k.create ~tie:(fun a b -> compare b a) k in
       let theta () =
-        match Top_k.cutoff heap with Some c -> c | None -> neg_infinity
+        match Core.Top_k.cutoff heap with Some c -> c | None -> neg_infinity
       in
       (* Cross-partition pruning: θ_shared is the monotone max of
          every partition's published k-th-best score, so it is always
@@ -98,10 +98,10 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
       (* [true] when a document whose score ceiling is [bound] can be
          skipped without affecting the merged result. *)
       let cannot_enter bound =
-        (not (Top_k.would_enter heap bound)) || bound < shared_theta ()
+        (not (Core.Top_k.would_enter heap bound)) || bound < shared_theta ()
       in
       let publish () =
-        match (shared_threshold, Top_k.cutoff heap) with
+        match (shared_threshold, Core.Top_k.cutoff heap) with
         | Some a, Some c -> Core.Merge.Theta.publish a c
         | (Some _ | None), _ -> ()
       in
@@ -224,7 +224,7 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
                   tf;
                 let total = Array.fold_left ( +. ) 0. contribs in
                 if total > 0. then begin
-                  Top_k.add heap ~score:total d;
+                  Core.Top_k.add heap ~score:total d;
                   publish ()
                 end
               end
@@ -235,7 +235,7 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
       in
       loop ();
       List.sort Core.Merge.compare_doc_score
-        (List.map (fun (s, d) -> (d, s)) (Top_k.to_sorted_list heap))
+        (List.map (fun (s, d) -> (d, s)) (Core.Top_k.to_sorted_list heap))
     end
   end
 

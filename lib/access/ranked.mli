@@ -2,7 +2,7 @@
     directly with a score-emitting access method.
 
     The V-threshold is a score selection applied on the fly; the
-    K-threshold uses a bounded {!Top_k} accumulator, so neither
+    K-threshold uses a bounded {!Core.Top_k} accumulator, so neither
     materializes or sorts the full result. A score {!histogram}
     supports choosing thresholds from the score distribution instead
     of asking the user for an absolute value. *)

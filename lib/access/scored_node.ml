@@ -13,6 +13,9 @@ let compare_pos a b =
 let compare_score_desc a b =
   match compare b.score a.score with 0 -> compare_pos a b | c -> c
 
+let rank_tie a b =
+  match Int.compare b.doc a.doc with 0 -> Int.compare b.start a.start | c -> c
+
 let equal a b = compare a b = 0
 
 let pp ppf t =

@@ -1,7 +1,9 @@
-type item = { doc : int; start : int; end_ : int; level : int }
-
-let item_of_scored (n : Scored_node.t) =
-  { doc = n.doc; start = n.start; end_ = n.end_; level = n.level }
+type item = Store.Tag_index.item = {
+  doc : int;
+  start : int;
+  end_ : int;
+  level : int;
+}
 
 let join ?(trace = Core.Trace.disabled) ?(axis = `Ancestor_descendant)
     ~ancestors ~descendants ~emit () =
@@ -55,16 +57,58 @@ let join ?(trace = Core.Trace.disabled) ?(axis = `Ancestor_descendant)
   !emitted
 
 (* Keep only items not nested inside a previously kept item; inputs
-   sorted by (doc, start), laminar. *)
+   sorted by (doc, start), laminar. An input with no nesting — every
+   tag-index array of a tag that never contains itself — comes back
+   as is, uncopied. *)
 let outermost items =
-  let acc = ref [] in
-  Array.iter
-    (fun (i : item) ->
-      match !acc with
-      | (top : item) :: _ when top.doc = i.doc && i.start < top.end_ -> ()
-      | _ -> acc := i :: !acc)
-    items;
-  Array.of_list (List.rev !acc)
+  let nested = ref false and i = ref 1 in
+  while (not !nested) && !i < Array.length items do
+    let prev = items.(!i - 1) and cur = items.(!i) in
+    nested := prev.doc = cur.doc && cur.start < prev.end_;
+    incr i
+  done;
+  if not !nested then items
+  else begin
+    let acc = ref [] in
+    Array.iter
+      (fun (i : item) ->
+        match !acc with
+        | (top : item) :: _ when top.doc = i.doc && i.start < top.end_ -> ()
+        | _ -> acc := i :: !acc)
+      items;
+    Array.of_list (List.rev !acc)
+  end
+
+(* Index of the last item at or before [(doc, start)] in document
+   order, or -1. *)
+let predecessor items ~doc ~start =
+  let lo = ref 0 and hi = ref (Array.length items - 1) and found = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let m = items.(mid) in
+    if m.doc < doc || (m.doc = doc && m.start <= start) then begin
+      found := mid;
+      lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  !found
+
+(* In a sorted, pairwise disjoint array the only interval that can
+   hold a key is its predecessor. *)
+let inside within ~doc ~start =
+  let i = predecessor within ~doc ~start in
+  i >= 0
+  &&
+  let r = within.(i) in
+  r.doc = doc && start < r.end_
+
+let mem items ~doc ~start =
+  let i = predecessor items ~doc ~start in
+  i >= 0
+  &&
+  let r = items.(i) in
+  r.doc = doc && r.start = start
 
 (* Posting-side structural join: drive a term cursor through a set of
    disjoint subtrees. Element interval keys and word positions share

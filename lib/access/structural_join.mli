@@ -5,9 +5,14 @@
     Joins two document-ordered node lists on the ancestor-descendant
     (or parent-child) relationship in one merge pass. *)
 
-type item = { doc : int; start : int; end_ : int; level : int }
-
-val item_of_scored : Scored_node.t -> item
+type item = Store.Tag_index.item = {
+  doc : int;
+  start : int;
+  end_ : int;
+  level : int;
+}
+(** The tag index's own element type, so a tag-index array is a join
+    input as is. *)
 
 val join :
   ?trace:Core.Trace.t ->
@@ -34,7 +39,18 @@ val outermost : item array -> item array
 (** Drop every item nested inside an earlier item of the same
     document. Input must be sorted by [(doc, start)] and laminar;
     the result is sorted and pairwise disjoint, as
-    {!occurrences_within} requires. *)
+    {!occurrences_within} and {!inside} require. An input with no
+    nested item is returned itself, not copied. *)
+
+val inside : item array -> doc:int -> start:int -> bool
+(** [inside within ~doc ~start]: the element starting at [start] in
+    [doc] is one of [within] or lies inside one. [within] must be
+    sorted by [(doc, start)] and pairwise disjoint (see
+    {!outermost}); one binary search, no allocation. *)
+
+val mem : item array -> doc:int -> start:int -> bool
+(** Whether an item of the [(doc, start)]-sorted array starts at
+    [start] in [doc]; one binary search. *)
 
 val occurrences_within :
   ?trace:Core.Trace.t ->

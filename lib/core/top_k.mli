@@ -8,7 +8,9 @@
 type 'a t
 
 val create : ?tie:('a -> 'a -> int) -> int -> 'a t
-(** [create k] raises [Invalid_argument] when [k <= 0].
+(** [create k] raises [Invalid_argument] when [k <= 0]. Storage grows
+    with the number of retained items, so [create max_int] is a
+    valid "keep everything, rank at the end" accumulator.
 
     [tie] totally orders items of equal score ([tie a b < 0] means
     [a] ranks below [b] and is evicted first); without it (the
@@ -34,6 +36,12 @@ val would_enter : 'a t -> float -> bool
     for candidates ranking below every present tied entry — which
     holds when items arrive in worst-first tie order, as in
     ascending-doc-id scoring. *)
+
+val admits : 'a t -> float -> bool
+(** Whether some item with this score could still enter under the tie
+    order: [false] only when the accumulator is full and the score is
+    strictly below the K-th best. Lets a caller skip building an item
+    that {!add} would certainly reject. *)
 
 val to_sorted_list : 'a t -> (float * 'a) list
 (** Best first, [tie]-best first among equal scores; does not clear

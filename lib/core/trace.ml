@@ -151,6 +151,17 @@ let attach t sp =
     | [] -> t.roots <- sp :: t.roots
   end
 
+(* A stage fused into its producer's loop has no time of its own:
+   record it as a finished span carrying only its cardinalities. *)
+let fused t name ~input ~output =
+  if t.on then begin
+    let sp = fresh_span name in
+    sp.input <- input;
+    sp.output <- output;
+    sp.attrs <- [ ("fused", "true") ];
+    attach t sp
+  end
+
 let roots t = List.rev t.roots
 
 let root t =

@@ -72,6 +72,13 @@ val attach : t -> span -> unit
     open span (or as a top-level span when none is open). The grafted
     tree must be complete; it is not copied. *)
 
+val fused : t -> string -> input:int -> output:int -> unit
+(** Record a stage that ran fused into its producer's loop (a filter
+    applied as each item is emitted): a finished child span of the
+    innermost open span with the stage's input and output
+    cardinalities, [elapsed_ns = 0] (its time is inside the
+    producer's span) and the attribute [fused=true]. *)
+
 val roots : t -> span list
 (** Completed top-level spans, in completion order. *)
 

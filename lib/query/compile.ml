@@ -285,135 +285,170 @@ let forest_of_scored nodes =
   drain ();
   List.rev !finished
 
-let execute ?(limits = Core.Governor.unlimited)
-    ?(trace = Core.Trace.disabled) ?governor db (p : plan) =
-  Log.debug (fun m -> m "executing engine plan: terms=%s, pick=%b"
-      (String.concat "," p.terms) (p.pick <> None));
+(* Pick over the post-ScoreFilter nodes: group by document, build
+   each document's candidate forest and keep what the streaming Pick
+   returns. *)
+let pick_nodes crit nodes =
+  let nodes = List.sort Access.Scored_node.compare_pos nodes in
+  let returned = Hashtbl.create 256 in
+  let flush nodes =
+    List.iter
+      (fun root ->
+        List.iter
+          (fun (t : Core.Stree.t) ->
+            match t.id with
+            | Core.Stree.Stored { doc; start } ->
+              Hashtbl.replace returned (doc, start) ()
+            | Core.Stree.Synthetic _ -> ())
+          (Access.Pick_stack.returned crit ~candidates:(fun _ -> true) root))
+      (forest_of_scored (List.rev nodes))
+  in
+  let rec group current current_doc = function
+    | [] -> flush current
+    | (n : Access.Scored_node.t) :: rest ->
+      if n.doc = current_doc || current = [] then group (n :: current) n.doc rest
+      else begin
+        flush current;
+        group [ n ] n.doc rest
+      end
+  in
+  group [] (-1) nodes;
+  List.filter
+    (fun (n : Access.Scored_node.t) -> Hashtbl.mem returned (n.doc, n.start))
+    nodes
+
+(* The plan up to its Threshold, fused into the access method's emit
+   loop: each scored node passes DocFilter, AnchorFilter, ScoreFilter
+   and Threshold as it is produced and goes straight to [emit]. Only
+   Pick, which needs each document's whole candidate forest,
+   materializes. The filters record fused spans carrying their
+   cardinalities, and the governor is charged the counts the
+   materializing pipeline charged at its boundaries (scored,
+   filtered, thresholded), so budgets and steps_used are unchanged. *)
+let run ?(trace = Core.Trace.disabled) ~governor:gov db (p : plan) ~emit =
+  Log.debug (fun m ->
+      m "executing engine plan: terms=%s, pick=%b" (String.concat "," p.terms)
+        (p.pick <> None));
+  let account n =
+    Core.Governor.tick_n gov n;
+    Core.Governor.check_results gov n;
+    Core.Governor.check_deadline gov
+  in
+  let ctx = Access.Ctx.of_db db in
+  (* documents matching the glob, decided on first sight *)
+  let doc_ok =
+    let catalog = Store.Db.catalog db in
+    let n = Store.Catalog.document_count catalog in
+    let memo = Bytes.make n '?' in
+    fun doc ->
+      doc >= 0 && doc < n
+      &&
+      match Bytes.get memo doc with
+      | 'y' -> true
+      | 'n' -> false
+      | _ ->
+        let ok = Glob.matches p.document (Store.Catalog.document_name catalog doc) in
+        Bytes.set memo doc (if ok then 'y' else 'n');
+        ok
+  in
+  (* the scored variable is the anchor itself, unless it ranges over
+     the anchor's subtree *)
+  let is_anchor =
+    if p.self_or_descendant then fun _ -> true
+    else begin
+      let anchors = Access.Pattern_exec.anchors ctx p.structure ~var:1 in
+      fun (n : Access.Scored_node.t) ->
+        Access.Structural_join.mem anchors ~doc:n.doc ~start:n.start
+    end
+  in
+  let above_threshold (n : Access.Scored_node.t) =
+    match p.min_score with Some v -> n.score > v | None -> true
+  in
+  let n_scored = ref 0 and n_docs = ref 0 and n_anchors = ref 0 in
+  let n_positive = ref 0 and n_out = ref 0 in
+  let candidates = ref [] in
+  let out n =
+    if above_threshold n then begin
+      incr n_out;
+      emit n
+    end
+  in
+  let filter (n : Access.Scored_node.t) =
+    incr n_scored;
+    if doc_ok n.doc then begin
+      incr n_docs;
+      if is_anchor n then begin
+        incr n_anchors;
+        if n.score > 0. then begin
+          incr n_positive;
+          if p.pick = None then out n else candidates := n :: !candidates
+        end
+      end
+    end
+  in
+  let (_ : int) =
+    Access.Pattern_exec.run ~trace ~access:p.access ~weights:p.weights ctx
+      p.structure ~struct_var:1 ~terms:p.terms ~emit:filter ()
+  in
+  account !n_scored;
+  Core.Trace.fused trace "DocFilter" ~input:!n_scored ~output:!n_docs;
+  if not p.self_or_descendant then
+    Core.Trace.fused trace "AnchorFilter" ~input:!n_docs ~output:!n_anchors;
+  Core.Trace.fused trace "ScoreFilter" ~input:!n_anchors ~output:!n_positive;
+  account !n_positive;
+  let thresholded = !n_positive in
+  let thresholded =
+    match p.pick with
+    | None -> thresholded
+    | Some mk_crit ->
+      let crit = mk_crit { Functions.db } in
+      let nodes =
+        if Core.Trace.enabled trace then
+          Core.Trace.span_over ~governor:gov trace "Pick" !candidates
+            (pick_nodes crit)
+        else pick_nodes crit !candidates
+      in
+      List.iter out nodes;
+      List.length nodes
+  in
+  if p.min_score <> None then
+    Core.Trace.fused trace "Threshold" ~input:thresholded ~output:!n_out;
+  account !n_out;
+  !n_out
+
+let query_span ?(trace = Core.Trace.disabled) ~governor (p : plan) body =
+  Core.Trace.enter ~governor trace "CompiledQuery";
+  match body () with
+  | n, v ->
+    let out = match p.limit with Some k -> max 0 (min k n) | None -> n in
+    Core.Trace.fused trace "Rank" ~input:n ~output:n;
+    if p.limit <> None then Core.Trace.fused trace "Limit" ~input:n ~output:out;
+    Core.Trace.leave ~output:out ~governor trace;
+    v
+  | exception e ->
+    Core.Trace.unwind trace;
+    raise e
+
+let execute ?(limits = Core.Governor.unlimited) ?trace ?governor db (p : plan) =
   (* A caller-supplied governor lets the service read steps_used after
      the run (and share one budget across plans); [limits] is ignored
      in that case — the governor already carries its own. *)
   let gov =
     match governor with Some g -> g | None -> Core.Governor.start limits
   in
-  (* Stage spans: the materialization boundaries of the engine path,
-     nested under one CompiledQuery root. *)
-  let stage name input f =
-    if Core.Trace.enabled trace then
-      Core.Trace.span_over ~governor:gov trace name input f
-    else f input
+  query_span ?trace ~governor:gov p @@ fun () ->
+  (* Rank as a bounded top-[limit] selection fed by the stream *)
+  let limit = match p.limit with Some k -> k | None -> max_int in
+  let heap =
+    Core.Top_k.create ~tie:Access.Scored_node.rank_tie (max 1 limit)
   in
-  Core.Trace.enter ~governor:gov trace "CompiledQuery";
-  match
-    (* The engine path materializes between physical operators; charge
-       the governor at each materialization boundary. *)
-    let account scored =
-      let n = List.length scored in
-      Core.Governor.tick_n gov n;
-      Core.Governor.check_results gov n;
-      Core.Governor.check_deadline gov;
-      scored
-    in
-    let ctx = Access.Ctx.of_db db in
-    (* restrict to the documents matching the glob *)
-    let doc_ok =
-      let catalog = Store.Db.catalog db in
-      let matches = Hashtbl.create 8 in
-      for doc = 0 to Store.Catalog.document_count catalog - 1 do
-        if Glob.matches p.document (Store.Catalog.document_name catalog doc)
-        then Hashtbl.replace matches doc ()
-      done;
-      fun doc -> Hashtbl.mem matches doc
-    in
-    let scored =
-      account
-        (Access.Pattern_exec.scored_matches ~trace ~access:p.access ctx
-           p.structure ~struct_var:1 ~terms:p.terms ~weights:p.weights)
-    in
-    let scored =
-      stage "DocFilter" scored
-        (List.filter (fun (n : Access.Scored_node.t) -> doc_ok n.doc))
-    in
-    let scored =
-      if p.self_or_descendant then scored
-      else
-        stage "AnchorFilter" scored @@ fun scored ->
-        (* the scored variable is the anchor itself *)
-        let anchors = Access.Pattern_exec.matches ctx p.structure ~var:1 in
-        let keys = Hashtbl.create 64 in
-        List.iter
-          (fun (i : Store.Tag_index.item) ->
-            Hashtbl.replace keys (i.doc, i.start) ())
-          anchors;
-        List.filter
-          (fun (n : Access.Scored_node.t) -> Hashtbl.mem keys (n.doc, n.start))
-          scored
-    in
-    let scored =
-      account
-        (stage "ScoreFilter" scored
-           (List.filter (fun (n : Access.Scored_node.t) -> n.score > 0.)))
-    in
-    let scored =
-      match p.pick with
-      | None -> scored
-      | Some mk_crit ->
-        stage "Pick" scored @@ fun scored ->
-        let crit = mk_crit { Functions.db } in
-        (* group by document (input is in document order), build the
-           candidate forest and run the streaming Pick *)
-        let returned = Hashtbl.create 256 in
-        let flush nodes =
-          List.iter
-            (fun root ->
-              List.iter
-                (fun (t : Core.Stree.t) ->
-                  match t.id with
-                  | Core.Stree.Stored { doc; start } ->
-                    Hashtbl.replace returned (doc, start) ()
-                  | Core.Stree.Synthetic _ -> ())
-                (Access.Pick_stack.returned crit
-                   ~candidates:(fun _ -> true)
-                   root))
-            (forest_of_scored (List.rev nodes))
-        in
-        let rec group current current_doc = function
-          | [] -> flush current
-          | (n : Access.Scored_node.t) :: rest ->
-            if n.doc = current_doc || current = [] then
-              group (n :: current) n.doc rest
-            else begin
-              flush current;
-              group [ n ] n.doc rest
-            end
-        in
-        group [] (-1) scored;
-        List.filter
-          (fun (n : Access.Scored_node.t) ->
-            Hashtbl.mem returned (n.doc, n.start))
-          scored
-    in
-    let scored =
-      match p.min_score with
-      | Some v ->
-        stage "Threshold" scored
-          (List.filter (fun (n : Access.Scored_node.t) -> n.score > v))
-      | None -> scored
-    in
-    let ranked =
-      stage "Rank" (account scored)
-        (List.sort Access.Scored_node.compare_score_desc)
-    in
-    match p.limit with
-    | Some k -> stage "Limit" ranked (List.filteri (fun i _ -> i < k))
-    | None -> ranked
-  with
-  | result ->
-    if Core.Trace.enabled trace then
-      Core.Trace.leave ~output:(List.length result) ~governor:gov trace;
-    result
-  | exception e ->
-    Core.Trace.unwind trace;
-    raise e
+  let n =
+    run ?trace ~governor:gov db p ~emit:(fun (n : Access.Scored_node.t) ->
+        Core.Top_k.add heap ~score:n.score n)
+  in
+  ( n,
+    if limit <= 0 then []
+    else List.map snd (Core.Top_k.to_sorted_list heap) )
 
 let run_string ?functions ?limits ?trace db src =
   match Parser.parse src with

@@ -68,6 +68,36 @@ val plan_with_stats :
     cardinality correction; [parallelism] is the requested degree the
     planner may degrade. *)
 
+val run :
+  ?trace:Core.Trace.t ->
+  governor:Core.Governor.t ->
+  Store.Db.t ->
+  plan ->
+  emit:(Access.Scored_node.t -> unit) ->
+  int
+(** The plan up to its Threshold as a stream: every node that passes
+    DocFilter, AnchorFilter, ScoreFilter, Pick and Threshold goes to
+    [emit] in the access method's emission order, unranked and
+    unlimited; returns how many did. The filters run fused into the
+    access method's emit loop (only Pick materializes, per document)
+    and record fused spans with their input and output cardinalities
+    under the caller's open span. [governor] is charged the scored,
+    filtered and thresholded counts, as a materializing pipeline
+    would be at its boundaries; a breached budget raises
+    {!Core.Governor.Resource_exhausted}. *)
+
+val query_span :
+  ?trace:Core.Trace.t ->
+  governor:Core.Governor.t ->
+  plan ->
+  (unit -> int * 'a) ->
+  'a
+(** [query_span ~governor plan body] runs [body] — which streams one
+    or more segments' {!run} output into the caller's own top-[limit]
+    selection and returns [(n, v)], [n] being how many nodes reached
+    the Rank stage — inside the ["CompiledQuery"] root span, records
+    the fused Rank and Limit stages, and returns [v]. *)
+
 val execute :
   ?limits:Core.Governor.limits ->
   ?trace:Core.Trace.t ->
@@ -76,15 +106,16 @@ val execute :
   plan ->
   Access.Scored_node.t list
 (** Evaluate the plan; results ranked best-first (ties in document
-    order). With [limits], cardinality is charged to a fresh governor
-    at every materialization boundary; a breached budget raises
-    {!Core.Governor.Resource_exhausted}. [governor] supplies the
+    order). {!run} feeds a bounded {!Core.Top_k} of the plan's
+    [limit] (everything without one), so only the returned nodes are
+    ever ranked. With [limits], cardinality is charged to a fresh
+    governor as described for {!run}; [governor] supplies the
     governor instead ([limits] is then ignored), so the caller can
     read {!Core.Governor.steps} afterwards. With [trace], a
     ["CompiledQuery"] root span nests the access-method spans
-    (PatternMatch, TermJoin) and one span per materialization stage
-    (DocFilter, AnchorFilter, ScoreFilter, Pick, Threshold, Rank,
-    Limit), each with cardinalities and governor steps. *)
+    (PatternMatch, TermJoin, ...) and one span per stage (DocFilter,
+    AnchorFilter, ScoreFilter, Pick, Threshold, Rank, Limit), each
+    with its cardinalities; every stage but Pick is fused. *)
 
 val run_string :
   ?functions:Functions.t ->

@@ -257,41 +257,114 @@ let log_slow ~key ~dt trace_span =
         m "slow query (%.3fs >= %.3fs): %s%s" dt threshold key tree)
   | Some _ | None -> ()
 
-let row_of_db db (n : Access.Scored_node.t) =
-  let tag =
-    Option.value ~default:"?" (Store.Db.tag_of db ~doc:n.doc ~start:n.start)
-  in
-  { tag; doc = n.doc; start = n.start; score = n.score }
-
-let row_of_node snapshot n = row_of_db snapshot.db n
-
 (* Row-level mirror of [Access.Scored_node.compare_score_desc]:
-   score descending, ties in (doc, start) order. Merged base+delta
-   rows are sorted with this after id remapping, which reproduces the
-   order a from-scratch rebuild would emit. *)
+   score descending, ties in (doc, start) order — the order a
+   from-scratch rebuild of base ∪ delta − tombstones would emit. *)
 let compare_row a b =
   match compare b.score a.score with
   | 0 -> ( match compare a.doc b.doc with 0 -> compare a.start b.start | c -> c)
   | c -> c
 
+(* ------------------------------------------------------------------ *)
+(* Node-result selection
+
+   Every node-result family — search by any method, anchored search,
+   phrase, comp3 and compiled queries — streams its scored nodes into
+   one selector per request, segment after segment (the base, then
+   the delta). The selector drops nodes of tombstoned base documents,
+   remaps ids into the merged dense id space (live base documents
+   keep their relative order, delta documents follow), counts the
+   survivors as [total], and keeps the [cap] best in a bounded
+   {!Core.Top_k} whose tie order is [compare_row]'s. Rows — and their
+   tag-name lookups — are built for the survivors only. Scores are
+   per-element (no corpus statistics), so the split execution selects
+   exactly what one run over a rebuild would. *)
+
+type selector = {
+  heap : Access.Scored_node.t Core.Top_k.t;  (** nodes in merged ids *)
+  cap : int;  (** rows to return; [max_int] = all *)
+  mutable live : int;  (** surviving nodes: the result's [total] *)
+}
+
+(* [k] as a row cap: [None] or a negative [k] keeps every row *)
+let cap_of = function Some k when k >= 0 -> k | Some _ | None -> max_int
+
+let selector cap =
+  {
+    heap = Core.Top_k.create ~tie:Access.Scored_node.rank_tie (max 1 cap);
+    cap;
+    live = 0;
+  }
+
+(* [remap] builds the merged-id node; it only runs for a node the
+   heap may keep *)
+let offer sel (n : Access.Scored_node.t) remap =
+  sel.live <- sel.live + 1;
+  if sel.cap > 0 && Core.Top_k.admits sel.heap n.score then
+    Core.Top_k.add sel.heap ~score:n.score (remap n)
+
+(* The emit functions of the base and the delta segment. *)
+let base_sink snapshot sel =
+  match snapshot.delta with
+  | None -> fun n -> offer sel n Fun.id
+  | Some dv ->
+    let remap (n : Access.Scored_node.t) = { n with doc = dv.dense.(n.doc) } in
+    fun (n : Access.Scored_node.t) ->
+      if not (is_tombstoned dv n.doc) then offer sel n remap
+
+let delta_sink dv sel =
+  let remap (n : Access.Scored_node.t) = { n with doc = dv.n_live + n.doc } in
+  fun n -> offer sel n remap
+
+(* Feed [run]'s output for each segment of the snapshot into [sel];
+   returns the steps the runs report, summed. *)
+let select_segments snapshot sel run =
+  let steps = run snapshot.db snapshot.ctx ~emit:(base_sink snapshot sel) in
+  match snapshot.delta with
+  | Some ({ delta_db = Some (ddb, dctx); _ } as dv) ->
+    steps + run ddb dctx ~emit:(delta_sink dv sel)
+  | Some { delta_db = None; _ } | None -> steps
+
+(* The survivors as rows, best first; each tag id resolves against the
+   catalog of the segment the node came from. *)
+let selected_rows snapshot sel =
+  if sel.cap = 0 then []
+  else
+    List.map
+      (fun (_, (n : Access.Scored_node.t)) ->
+        let db =
+          match snapshot.delta with
+          | Some { delta_db = Some (ddb, _); n_live; _ } when n.doc >= n_live ->
+            ddb
+          | Some _ | None -> snapshot.db
+        in
+        let catalog = Store.Db.catalog db in
+        let tag =
+          if n.tag >= 0 && n.tag < Store.Catalog.tag_count catalog then
+            Store.Catalog.tag_name catalog n.tag
+          else "?"
+        in
+        { tag; doc = n.doc; start = n.start; score = n.score })
+      (Core.Top_k.to_sorted_list sel.heap)
+
 let op_counter name = Metrics.counter ("op." ^ name)
 
 (* Mirror of the CLI's [governed] wrapper: access methods that are
    not internally governed still pay for their output cardinality
-   and sample the deadline once. Returns the steps consumed alongside
-   the results. *)
+   and sample the deadline once. [f] streams and returns how many
+   nodes it emitted; the result is the steps consumed. *)
 let governed limits f =
   let gov = Core.Governor.start limits in
-  let results = f () in
-  let n = List.length results in
+  let n = f () in
   Core.Governor.tick_n gov n;
   Core.Governor.check_results gov n;
   Core.Governor.check_deadline gov;
-  (results, Core.Governor.steps gov)
+  Core.Governor.steps gov
 
 (* The parallel counterpart: one shared budget for every chunk of the
    query; chunks tick their attached governors as they emit, so the
-   result cardinality is already accounted when the fan-in returns. *)
+   result cardinality is already accounted when the fan-in returns.
+   Returns the merged results alongside the steps. *)
 let governed_parallel limits f =
   let sh = Core.Governor.make_shared limits in
   let results = f sh in
@@ -299,13 +372,17 @@ let governed_parallel limits f =
   Core.Governor.shared_check_deadline sh;
   (results, Core.Governor.shared_steps sh)
 
-let truncate k rows =
-  match k with
-  | None -> rows
-  | Some k when k < 0 -> rows
-  | Some k -> List.filteri (fun i _ -> i < k) rows
+(* An [Exec.Par] result list streamed into a selector *)
+let emit_all ~emit (results, steps) =
+  List.iter emit results;
+  steps
 
-let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
+let truncate k l =
+  match k with
+  | Some k when k >= 0 -> List.filteri (fun i _ -> i < k) l
+  | Some _ | None -> l
+
+let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
   let key = canonical_key (Query { q; mode }) in
   let timings = ref [] in
   let stage name f =
@@ -456,7 +533,7 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
             let trees =
               List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
             in
-            Ok ([], trees, None, steps)
+            Ok ([], truncate k trees, None, steps, List.length trees)
           | exception Query.Eval.Error msg -> Error (Unsupported msg)
         end
       end
@@ -473,7 +550,12 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
           let trees =
             List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
           in
-          Ok ([], trees, None, Query.Eval.last_steps evaluator)
+          Ok
+            ( [],
+              truncate k trees,
+              None,
+              Query.Eval.last_steps evaluator,
+              List.length trees )
         | Error msg -> Error (Unsupported msg))
     in
     (* After a costed plan ran: stamp its row estimate onto the span
@@ -506,77 +588,33 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
             ]
         | None -> ())
     in
-    let run_plan plan =
-      match snapshot.delta with
-      | None ->
-        let gov = Core.Governor.start limits in
-        let nodes =
-          stage "execute" (fun () ->
-              Query.Compile.execute ~governor:gov ~trace:tracer snapshot.db
-                plan)
-        in
-        note_plan_outcome plan (List.length nodes);
-        Ok
-          ( List.map (row_of_node snapshot) nodes,
-            [],
-            Some (Query.Compile.explain plan),
-            Core.Governor.steps gov )
-      | Some dv ->
-        begin
-          (* run base and delta separately and rank-merge: scores are
-             corpus-stat free, so per-element results are unchanged by
-             the split — including `pick` stages, which group scored
-             nodes per document and select within each document's
-             forest, so base/delta split execution picks exactly what
-             one combined run would. The base limit is widened by the
-             tombstone count so dropping dead documents cannot starve
-             the merged top-K. *)
-          let widened =
-            match plan.Query.Compile.limit with
-            | Some l -> { plan with Query.Compile.limit = Some (l + dv.n_tomb) }
-            | None -> plan
-          in
-          let gov = Core.Governor.start limits in
-          let base_nodes, delta_nodes =
-            stage "execute" (fun () ->
-                let base =
-                  Query.Compile.execute ~governor:gov ~trace:tracer snapshot.db
-                    widened
-                in
-                let delta =
-                  match dv.delta_db with
-                  | None -> []
-                  | Some (ddb, _) ->
-                    Query.Compile.execute ~governor:gov ~trace:tracer ddb plan
-                in
-                (base, delta))
-          in
-          let base_rows =
-            List.filter_map
-              (fun (n : Access.Scored_node.t) ->
-                if is_tombstoned dv n.doc then None
-                else
-                  Some { (row_of_db snapshot.db n) with doc = dv.dense.(n.doc) })
-              base_nodes
-          in
-          let delta_rows =
-            match dv.delta_db with
-            | None -> []
-            | Some (ddb, _) ->
-              List.map
-                (fun (n : Access.Scored_node.t) ->
-                  { (row_of_db ddb n) with doc = dv.n_live + n.doc })
-                delta_nodes
-          in
-          let rows = List.sort compare_row (base_rows @ delta_rows) in
-          let rows = truncate plan.Query.Compile.limit rows in
-          note_plan_outcome plan (List.length rows);
-          Ok
-            ( rows,
-              [],
-              Some (Query.Compile.explain plan),
-              Core.Governor.steps gov )
-        end
+    (* Each segment's plan output streams into one selector; the
+       plan's [stop after] and the request's [k] bound it together,
+       after tombstoned documents are dropped. *)
+    let run_plan (plan : Query.Compile.plan) =
+      let gov = Core.Governor.start limits in
+      let limit =
+        match plan.limit with Some l -> max 0 l | None -> max_int
+      in
+      let sel = selector (min limit (cap_of k)) in
+      let rows =
+        stage "execute" (fun () ->
+            Query.Compile.query_span ~trace:tracer ~governor:gov plan
+            @@ fun () ->
+            let (_ : int) =
+              select_segments snapshot sel (fun db _ ~emit ->
+                  Query.Compile.run ~trace:tracer ~governor:gov db plan ~emit)
+            in
+            (sel.live, selected_rows snapshot sel))
+      in
+      let total = min limit sel.live in
+      note_plan_outcome plan total;
+      Ok
+        ( rows,
+          [],
+          Some (Query.Compile.explain plan),
+          Core.Governor.steps gov,
+          total )
     in
     let outcome =
       match compiled, mode with
@@ -588,8 +626,8 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
       | Error _, (`Auto | `Interp) | Ok _, `Interp -> run_interp ()
     in
     match outcome with
-    | Ok (rows, trees, plan, steps) ->
-      Ok (rows, trees, plan, List.rev !timings, steps)
+    | Ok (rows, trees, plan, steps, total) ->
+      Ok (rows, trees, plan, List.rev !timings, steps, total)
     | Error e -> Error e
   end
 
@@ -689,10 +727,9 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
         trace = None;
       }
   | None -> begin
-    let finish ~plan ~timings ~steps rows trees =
-      let total = List.length rows + List.length trees in
-      let rows = truncate k rows in
-      let trees = truncate k trees in
+    (* [rows] and [trees] arrive already cut to [k]; [total] is the
+       count before the cut *)
+    let finish ~plan ~timings ~steps ~total rows trees =
       (match caches with
       | Some c when not trace ->
         Lru.add c.results result_key (rows, trees, total, plan)
@@ -715,51 +752,19 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           trace = trace_span;
         }
     in
-    let ranked_rows nodes =
-      List.sort Access.Scored_node.compare_score_desc nodes
-      |> List.map (row_of_node snapshot)
-    in
-    (* Node-result families (search, phrase): run the same access
-       method over the base and the delta contexts, drop tombstoned
-       base nodes, remap both sides into the dense merged id space
-       and re-rank. Scores are per-element (no corpus statistics), so
-       the split execution returns exactly what a from-scratch
-       rebuild of base ∪ delta − tombstones would. *)
-    let merged_node_rows ~run =
-      match snapshot.delta with
-      | None ->
-        let nodes, steps = run snapshot.ctx in
-        (ranked_rows nodes, steps)
-      | Some dv ->
-        let base_nodes, base_steps = run snapshot.ctx in
-        let base_rows =
-          List.filter_map
-            (fun (n : Access.Scored_node.t) ->
-              if is_tombstoned dv n.doc then None
-              else
-                Some { (row_of_db snapshot.db n) with doc = dv.dense.(n.doc) })
-            base_nodes
-        in
-        let delta_rows, delta_steps =
-          match dv.delta_db with
-          | None -> ([], 0)
-          | Some (ddb, dctx) ->
-            let nodes, steps = run dctx in
-            ( List.map
-                (fun (n : Access.Scored_node.t) ->
-                  { (row_of_db ddb n) with doc = dv.n_live + n.doc })
-                nodes,
-              steps )
-        in
-        ( List.sort compare_row (base_rows @ delta_rows),
-          base_steps + delta_steps )
+    (* Node-result families (search, phrase): run the access method
+       over each segment into one selector *)
+    let select_nodes run =
+      let sel = selector (cap_of k) in
+      let steps = select_segments snapshot sel run in
+      (selected_rows snapshot sel, sel.live, steps)
     in
     match
       match request with
       | Query { q; mode } -> begin
-        match exec_query ~caches ~limits ~tracer snapshot ~q ~mode with
-        | Ok (rows, trees, plan, timings, steps) ->
-          finish ~plan ~timings ~steps rows trees
+        match exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode with
+        | Ok (rows, trees, plan, timings, steps, total) ->
+          finish ~plan ~timings ~steps ~total rows trees
         | Error e -> Error e
       end
       | Search { terms; method_; complex; anchor } ->
@@ -822,20 +827,19 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
             | Comp2 -> Access.Pattern_exec.Comp2
             | Auto -> assert false (* resolved above *)
           in
-          (* Anchored search: match the anchor elements as a trivial
-             one-variable pattern, run the method (GenMeet scoped to
-             the disjoint anchor subtrees), and keep only scored
-             nodes that are an anchor or lie inside one. The anchor
-             semi-join does not partition, so this path stays
-             sequential. Each context resolves the tag against its
-             own catalog — a tag only present in the delta still
-             anchors there. *)
-          let run_anchored tag_name ctx =
+          (* Anchored search: the anchors are the tag's tag-index
+             array; the method (GenMeet scoped to the disjoint anchor
+             subtrees) streams only the scored nodes that are an
+             anchor or lie inside one (a binary search each). This
+             path stays sequential. Each context resolves the tag
+             against its own catalog — a tag only present in the
+             delta still anchors there. *)
+          let run_anchored tag_name ctx ~emit =
             governed limits (fun () ->
                 match
                   Store.Catalog.tag_id ctx.Access.Ctx.catalog tag_name
                 with
-                | None -> []
+                | None -> 0
                 | Some _ ->
                   let pat =
                     Core.Pattern.make
@@ -843,56 +847,60 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
                          ~pred:(Core.Pattern.Tag tag_name) 0 [])
                       []
                   in
-                  Access.Pattern_exec.scored_matches ~trace:tracer ~mode
+                  Access.Pattern_exec.run ~trace:tracer ~mode
                     ~access:(access_of_method method_) ctx pat ~struct_var:0
-                    ~terms)
+                    ~terms ~emit ())
           in
-          let run_unanchored ctx =
+          let run_unanchored ctx ~emit =
             match method_ with
             | (Termjoin | Enhanced | Genmeet) when par > 1 ->
-              governed_parallel limits (fun shared ->
-                  match method_ with
-                  | Termjoin ->
-                    Exec.Par.term_join ~trace:tracer ~shared ~mode
-                      ~parallelism:par ctx ~terms
-                  | Enhanced ->
-                    Exec.Par.term_join ~trace:tracer ~shared
-                      ~variant:Access.Term_join.Enhanced ~mode
-                      ~parallelism:par ctx ~terms
-                  | _ ->
-                    Exec.Par.gen_meet ~trace:tracer ~shared ~mode
-                      ~parallelism:par ctx ~terms)
+              emit_all ~emit
+                (governed_parallel limits (fun shared ->
+                     match method_ with
+                     | Termjoin ->
+                       Exec.Par.term_join ~trace:tracer ~shared ~mode
+                         ~parallelism:par ctx ~terms
+                     | Enhanced ->
+                       Exec.Par.term_join ~trace:tracer ~shared
+                         ~variant:Access.Term_join.Enhanced ~mode
+                         ~parallelism:par ctx ~terms
+                     | _ ->
+                       Exec.Par.gen_meet ~trace:tracer ~shared ~mode
+                         ~parallelism:par ctx ~terms))
             | _ ->
               (* the composite baselines materialize candidate sets and
                  stay sequential *)
               governed limits (fun () ->
                   match method_ with
                   | Termjoin ->
-                    Access.Term_join.to_list ~trace:tracer ~mode ctx ~terms
+                    Access.Term_join.run ~trace:tracer ~mode ctx ~terms ~emit ()
                   | Enhanced ->
-                    Access.Term_join.to_list ~trace:tracer
-                      ~variant:Access.Term_join.Enhanced ~mode ctx ~terms
+                    Access.Term_join.run ~trace:tracer
+                      ~variant:Access.Term_join.Enhanced ~mode ctx ~terms ~emit
+                      ()
                   | Genmeet ->
-                    Access.Gen_meet.to_list ~trace:tracer ~mode ctx ~terms
+                    Access.Gen_meet.run ~trace:tracer ~mode ctx ~terms ~emit ()
                   | Comp1 ->
-                    Access.Composite.comp1_list ~trace:tracer ~mode ctx ~terms
+                    Access.Composite.comp1 ~trace:tracer ~mode ctx ~terms ~emit
+                      ()
                   | Comp2 ->
-                    Access.Composite.comp2_list ~trace:tracer ~mode ctx ~terms
+                    Access.Composite.comp2 ~trace:tracer ~mode ctx ~terms ~emit
+                      ()
                   | Auto -> assert false (* resolved above *))
           in
-          let run ctx =
-            match anchor with
-            | Some tag_name -> run_anchored tag_name ctx
-            | None -> run_unanchored ctx
+          let rows, total, steps =
+            select_nodes (fun _ ctx ~emit ->
+                match anchor with
+                | Some tag_name -> run_anchored tag_name ctx ~emit
+                | None -> run_unanchored ctx ~emit)
           in
-          let rows, steps = merged_node_rows ~run in
           (match decision with
           | None -> ()
           | Some d ->
             Ir.Stats.Feedback.observe snapshot.feedback
               ~key:(canonical_key request)
               ~est:(float_of_int d.Query.Planner.est_rows)
-              ~actual:(float_of_int (List.length rows));
+              ~actual:(float_of_int total);
             (match Core.Trace.root tracer with
             | Some sp ->
               Core.Trace.apply_estimates sp
@@ -908,7 +916,7 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
               (fun d -> "planner: " ^ Query.Planner.to_string d)
               decision
           in
-          finish ~plan ~timings:[ ("execute", dt) ] ~steps rows []
+          finish ~plan ~timings:[ ("execute", dt) ] ~steps ~total rows []
         end
       | Phrase { phrase; comp3 } -> begin
         match Ir.Phrase.parse phrase with
@@ -918,23 +926,25 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           if (not comp3) && par > 1 then
             Metrics.incr (Metrics.counter "queries.parallel");
           let t0 = now () in
-          let run ctx =
+          let run _ ctx ~emit =
             if (not comp3) && par > 1 then
-              governed_parallel limits (fun shared ->
-                  Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par ctx
-                    ~phrase:words)
+              emit_all ~emit
+                (governed_parallel limits (fun shared ->
+                     Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par ctx
+                       ~phrase:words))
             else
               governed limits (fun () ->
                   if comp3 then
-                    Access.Composite.comp3_list ~trace:tracer ctx ~phrase:words
+                    Access.Composite.comp3 ~trace:tracer ctx ~phrase:words ~emit
+                      ()
                   else
-                    Access.Phrase_finder.to_list ~trace:tracer ctx
-                      ~phrase:words)
+                    Access.Phrase_finder.run ~trace:tracer ctx ~phrase:words
+                      ~emit ())
           in
-          let rows, steps = merged_node_rows ~run in
+          let rows, total, steps = select_nodes run in
           let dt = now () -. t0 in
           Metrics.observe_s (Metrics.histogram "stage.execute") dt;
-          finish ~plan:None ~timings:[ ("execute", dt) ] ~steps rows []
+          finish ~plan:None ~timings:[ ("execute", dt) ] ~steps ~total rows []
       end
       | Ranked { terms } ->
         if terms = [] || List.exists (fun t -> String.trim t = "") terms then
@@ -962,16 +972,25 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
               governed_parallel limits (fun shared ->
                   Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
                     ~parallelism:par ctx ~terms ~k)
-            else
-              governed limits (fun () ->
-                  (* a θ hint seeds the same shared threshold the
-                     parallel chunks use; pruning against it is exact
-                     under the monotone-θ invariant (Core.Merge) *)
-                  let shared_threshold =
-                    Option.map (fun seed -> Core.Merge.Theta.make ~seed ()) theta
-                  in
-                  Access.Ranked.top_k_docs ~trace:tracer ?shared_threshold ctx
-                    ~terms ~k)
+            else begin
+              let docs = ref [] in
+              let steps =
+                governed limits (fun () ->
+                    (* a θ hint seeds the same shared threshold the
+                       parallel chunks use; pruning against it is exact
+                       under the monotone-θ invariant (Core.Merge) *)
+                    let shared_threshold =
+                      Option.map
+                        (fun seed -> Core.Merge.Theta.make ~seed ())
+                        theta
+                    in
+                    docs :=
+                      Access.Ranked.top_k_docs ~trace:tracer ?shared_threshold
+                        ctx ~terms ~k;
+                    List.length !docs)
+              in
+              (!docs, steps)
+            end
           in
           let doc_row catalog remap (doc, score) =
             let tag =
@@ -1032,7 +1051,8 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           Metrics.observe_s (Metrics.histogram "stage.execute") dt;
           finish
             ~plan:(Some ("planner: " ^ Query.Planner.to_string decision))
-            ~timings:[ ("execute", dt) ] ~steps rows []
+            ~timings:[ ("execute", dt) ] ~steps ~total:(List.length rows)
+            (truncate k rows) []
         end
     with
     | outcome -> outcome

@@ -28,14 +28,21 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of 15 or 17 significant digits that parses back to
+   the same float, so scores cross the wire exactly: a coordinator
+   re-sorting shard rows must see the ties and near-ties a single
+   node sees. Text without a '.' or an exponent gets ".0", so it
+   parses back as a Float, not an Int. NaN and infinities have no
+   JSON spelling. *)
 let add_float buf f =
-  if Float.is_nan f || Float.is_integer f && Float.abs f > 1e15 then
-    Buffer.add_string buf "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    (* integral floats keep a ".0" so they round-trip as Float *)
-    Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else if Float.abs f = Float.infinity then Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else begin
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s;
+    if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+      Buffer.add_string buf ".0"
+  end
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"

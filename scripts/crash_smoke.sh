@@ -95,8 +95,13 @@ echo "   port $PORT"
 grep -q "recovered" "$WORK/tixd.log" || fail "restart did not report recovery"
 
 # membership probes: each ingested doc carries a unique planted term,
-# so a non-zero ranked total for uniqprobeN means doc-N was recovered
-present() { client --ranked "uniqprobe$1" -k 3 | grep -q '"total":[1-9]'; }
+# so a non-zero ranked total for uniqprobeN means doc-N was recovered.
+# The pattern is anchored on the response's leading fields: the
+# "timings" object has a "total" key too, and a request under 0.1 ms
+# prints it as e.g. 9.5e-05, which an unanchored match would take for
+# a non-zero result count.
+has_rows() { grep -q '^{"ok":true,"total":[1-9]'; }
+present() { client --ranked "uniqprobe$1" -k 3 | has_rows; }
 
 echo "== durability: every acked document survived"
 RECOVERED=0
@@ -206,7 +211,7 @@ SERVER_PID=
 echo "== fourth boot: acked-during-checkpoint documents recovered"
 start_server   # image + whatever WAL state the crash left behind
 echo "   port $PORT"
-ck_present() { client --ranked "ckprobe$1" -k 3 | grep -q '"total":[1-9]'; }
+ck_present() { client --ranked "ckprobe$1" -k 3 | has_rows; }
 for i in 0 1 2 3 4 5; do
   ck_present "$i" || fail "ck-$i acked but missing after mid-checkpoint crash"
 done

@@ -501,30 +501,30 @@ let test_skips_property =
 (* Top-K *)
 
 let test_top_k_basic () =
-  let tk = Access.Top_k.create 3 in
+  let tk = Core.Top_k.create 3 in
   List.iteri
-    (fun i s -> Access.Top_k.add tk ~score:s i)
+    (fun i s -> Core.Top_k.add tk ~score:s i)
     [ 1.0; 5.0; 3.0; 4.0; 2.0 ];
-  let result = Access.Top_k.to_sorted_list tk in
+  let result = Core.Top_k.to_sorted_list tk in
   check
     (Alcotest.list (Alcotest.float 1e-9))
     "top3 scores" [ 5.0; 4.0; 3.0 ] (List.map fst result);
   check (Alcotest.option (Alcotest.float 1e-9)) "cutoff" (Some 3.0)
-    (Access.Top_k.cutoff tk)
+    (Core.Top_k.cutoff tk)
 
 let test_top_k_underfull () =
-  let tk = Access.Top_k.create 10 in
-  Access.Top_k.add tk ~score:1. "a";
-  check int_ "count" 1 (Access.Top_k.count tk);
-  check bool_ "no cutoff yet" true (Access.Top_k.cutoff tk = None)
+  let tk = Core.Top_k.create 10 in
+  Core.Top_k.add tk ~score:1. "a";
+  check int_ "count" 1 (Core.Top_k.count tk);
+  check bool_ "no cutoff yet" true (Core.Top_k.cutoff tk = None)
 
 let test_top_k_property =
   QCheck.Test.make ~name:"top-k = sort |> take k" ~count:300
     QCheck.(pair (int_range 1 20) (list_of_size (QCheck.Gen.int_range 0 50) (float_range 0. 100.)))
     (fun (k, scores) ->
-      let tk = Access.Top_k.create k in
-      List.iteri (fun i s -> Access.Top_k.add tk ~score:s i) scores;
-      let got = List.map fst (Access.Top_k.to_sorted_list tk) in
+      let tk = Core.Top_k.create k in
+      List.iteri (fun i s -> Core.Top_k.add tk ~score:s i) scores;
+      let got = List.map fst (Core.Top_k.to_sorted_list tk) in
       let expected =
         List.filteri (fun i _ -> i < k) (List.sort (fun a b -> compare b a) scores)
       in
@@ -1304,7 +1304,7 @@ let test_error_paths () =
   (match Access.Twig_stack.matches ctx pc_pat ~var:1 with
   | _ -> Alcotest.fail "expected Invalid_argument for pc twig"
   | exception Invalid_argument _ -> ());
-  (match Access.Top_k.create 0 with
+  (match Core.Top_k.create 0 with
   | _ -> Alcotest.fail "expected Invalid_argument for k=0"
   | exception Invalid_argument _ -> ())
 

@@ -86,6 +86,31 @@ let test_json_parse_basics () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing junk accepted"
 
+(* Floats cross the wire exactly: the text parses back to the same
+   bits, including near-ties that 12 digits would merge
+   (2.9999999999999996 vs 3) and integral values past 1e15. *)
+let test_json_float_roundtrip =
+  let roundtrips f =
+    match Service.Json.parse (Service.Json.to_string (Service.Json.Float f)) with
+    | Ok (Service.Json.Float f') -> Int64.bits_of_float f' = Int64.bits_of_float f
+    | Ok _ | Error _ -> false
+  in
+  QCheck.Test.make ~count:2000 ~name:"json float roundtrip"
+    QCheck.(
+      oneof
+        [
+          float;
+          map Int64.float_of_bits int64;
+          oneofl
+            [
+              2.9999999999999996; 3.0; -0.0; 0.1; 1e15; 1234567890123456.;
+              1e16 +. 2.; 5e-324; Float.max_float; -1e-7;
+            ];
+        ])
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      roundtrips f)
+
 let test_json_escaped_output_parses () =
   let v = Service.Json.String "line\nwith \"quotes\" and \x01 control" in
   match Service.Json.parse (Service.Json.to_string v) with
@@ -1086,6 +1111,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
           Alcotest.test_case "escapes" `Quick test_json_escaped_output_parses;
+          QCheck_alcotest.to_alcotest test_json_float_roundtrip;
         ] );
       ( "lru",
         [

@@ -650,6 +650,68 @@ let test_pick_query_over_delta () =
         [ 1; 2 ];
       Store.Live.close live)
 
+(* Regression: a compiled query's [stop after] cut must come after
+   the tombstone filter. Here one deleted base document holds the five
+   best rows — more than limit + tombstones — so a base run cut at
+   [limit + n_tomb] and filtered afterwards kept none of the live rows
+   a rebuild returns. *)
+let test_query_tombstoned_top_rows () =
+  let hot =
+    "<article><sec><p>search search search search search</p><p>search \
+     search search search</p><p>search search search \
+     search</p></sec></article>"
+  in
+  let query limit =
+    Service.Engine.Query
+      {
+        q =
+          Printf.sprintf
+            {|
+            for $a in document("*")//article/descendant-or-self::*
+            score $a using ScoreFoo($a, {"search"}, {})
+            return <r>{$a}</r>
+            sortby(score)
+            threshold $a/@score > 0 stop after %d
+            |}
+            limit;
+        mode = `Engine;
+      }
+  in
+  let run ?(limit = 3) s =
+    match Service.Engine.exec ~k:10 s (query limit) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "query: %s" (Service.Engine.error_message e)
+  in
+  let base = Store.Db.of_documents (parse_docs (base_docs @ [ ("hot.xml", hot) ])) in
+  let hot_doc = List.length base_docs in
+  (* the scenario: the 4 best base rows all belong to the doomed doc *)
+  let widened =
+    (run ~limit:4 (snapshot_exn base)).Service.Engine.rows
+  in
+  check bool_ "deleted doc holds limit + tombstones top rows" true
+    (List.length widened = 4
+    && List.for_all (fun (r : Service.Engine.row) -> r.doc = hot_doc) widened);
+  List.iter
+    (fun (what, inserts) ->
+      let delta = Store.Delta.create ~base in
+      (match Store.Delta.delete delta ~name:"hot.xml" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "delete: %s" (Store.Delta.mutation_error_to_string e));
+      List.iter
+        (fun (name, xml) ->
+          match Store.Delta.insert delta ~name ~xml with
+          | Ok () -> ()
+          | Error e ->
+            Alcotest.failf "insert: %s" (Store.Delta.mutation_error_to_string e))
+        inserts;
+      let live = run (Service.Engine.with_delta (snapshot_exn base) delta) in
+      let rebuilt = run (snapshot_exn (Store.Db.of_documents (parse_docs (base_docs @ inserts)))) in
+      check int_ (what ^ ": 3 rows") 3 (List.length live.Service.Engine.rows);
+      check bool_ (what ^ ": rows = rebuild") true (row_keys live = row_keys rebuilt);
+      check int_ (what ^ ": total = rebuild") rebuilt.Service.Engine.total
+        live.Service.Engine.total)
+    [ ("tombstone only", []); ("tombstone + insert", [ ("new.xml", doc_c) ]) ]
+
 let test_interp_over_delta () =
   (* the interpreter fallback stays available over a pending delta:
      deletions mask tombstoned documents from the base evaluator, and
@@ -1630,6 +1692,8 @@ let () =
           tc "lenient replay" `Quick test_delta_lenient_replay;
           tc "queries equal rebuild" `Quick test_delta_queries_equal_rebuild;
           tc "pick query over delta" `Quick test_pick_query_over_delta;
+          tc "query cut after tombstone filter" `Quick
+            test_query_tombstoned_top_rows;
           tc "interp over delta" `Quick test_interp_over_delta;
         ] );
       ( "crash matrix",
