@@ -402,11 +402,10 @@ let skips ctx =
       List.length (Access.Ranked.top_k_docs ctx ~terms:topk_terms ~k:10))
 
 (* ------------------------------------------------------------------ *)
-(* Decode throughput: the frame-of-reference bit-packed posting
-   blocks against the legacy varint codec (the TIXDB003 payload) on
-   the same occurrence stream, then snapshot open-to-first-pin
-   latency of the mmap'd TIXDB004 reader against the legacy eager
-   loader at increasing index sizes. *)
+(* Decode throughput: sequential scan and skip seeks over the
+   frame-of-reference bit-packed posting blocks, then snapshot
+   open-to-first-pin latency of the mmap'd TIXDB004 reader at
+   increasing index sizes. *)
 
 (* deferred so a failed speedup assertion still writes the JSON *)
 let bench_failures : string list ref = ref []
@@ -509,16 +508,14 @@ let decode_bench ctx =
     | Some p -> p
     | None -> assert false
   in
-  let varint = Ir.Postings_varint.of_packed packed in
   let n = Ir.Postings.length packed in
   Printf.printf
-    "\n== Decode: posting codec throughput (term %S, %d occurrences, packed \
-     %d B vs varint %d B) ==\n%!"
-    term n (Ir.Postings.byte_size packed)
-    (Ir.Postings_varint.byte_size varint);
+    "\n== Decode: packed posting throughput (term %S, %d occurrences, %d B) \
+     ==\n%!"
+    term n (Ir.Postings.byte_size packed);
   (* enough repetitions that one sample is ~4M occurrences; the
-     allocation-free [scan] on both sides measures the codecs, not
-     the option boxing of the cursor API *)
+     allocation-free [scan] measures the codec, not the option boxing
+     of the cursor API *)
   let reps = max 1 (4_000_000 / max 1 n) in
   let scan_packed () =
     let k = ref 0 in
@@ -527,27 +524,10 @@ let decode_bench ctx =
     done;
     !k
   in
-  let scan_varint () =
-    let k = ref 0 in
-    for _ = 1 to reps do
-      Ir.Postings_varint.scan varint (fun _ _ _ -> incr k)
-    done;
-    !k
-  in
   let t_packed = sample_floor "decode/scan/packed" scan_packed in
-  let t_varint = sample_floor "decode/scan/varint" scan_varint in
   let occs_per_sample = float_of_int (reps * n) in
   Printf.printf "%-26s %10.1f M occ/s\n%!" "sequential scan, packed"
     (occs_per_sample /. t_packed /. 1e6);
-  Printf.printf "%-26s %10.1f M occ/s\n%!" "sequential scan, varint"
-    (occs_per_sample /. t_varint /. 1e6);
-  Printf.printf "%-26s %9.2fx\n%!" "packed speedup" (t_varint /. t_packed);
-  if t_varint /. t_packed < 2.0 then
-    bench_failures :=
-      Printf.sprintf
-        "packed sequential decode only %.2fx over varint (>= 2x required)"
-        (t_varint /. t_packed)
-      :: !bench_failures;
   (* seeks through the skip table: ~1k ascending targets spread over
      the list, a fresh cursor per pass *)
   let arr = Array.of_list (Ir.Postings.to_list packed) in
@@ -567,32 +547,16 @@ let decode_bench ctx =
         targets
     done
   in
-  let seek_varint () =
-    for _ = 1 to seek_reps do
-      let c = Ir.Postings_varint.cursor varint in
-      List.iter
-        (fun (d, p) -> ignore (Ir.Postings_varint.seek_pos c ~doc:d ~pos:p))
-        targets
-    done
-  in
   let s_packed = sample_floor "decode/seek/packed" seek_packed in
-  let s_varint = sample_floor "decode/seek/varint" seek_varint in
   let seeks_per_sample = float_of_int (seek_reps * ntargets) in
   Printf.printf "%-26s %10.2f M seeks/s (%d targets)\n%!" "skip seeks, packed"
     (seeks_per_sample /. s_packed /. 1e6)
     ntargets;
-  Printf.printf "%-26s %10.2f M seeks/s\n%!" "skip seeks, varint"
-    (seeks_per_sample /. s_varint /. 1e6);
   (* snapshot open + first pin at increasing corpus sizes: the mapped
-     TIXDB004 open checksums the file and defers all posting/page
-     decoding; the legacy TIXDB003 open decodes everything eagerly
-     and rebuilds the structural indexes by scanning *)
-  Printf.printf
-    "\n== Decode: snapshot open + first pin (mmap'd TIXDB004 vs legacy \
-     TIXDB003; ms) ==\n%!";
-  Printf.printf "%10s %12s %10s %12s %10s %9s %12s %12s %12s %12s\n" "articles"
-    "v4 bytes" "v4 (ms)" "v3 bytes" "v3 (ms)" "ratio" "v4 pin (us)"
-    "v3 pin (us)" "v4 look(ms)" "v3 look(ms)";
+     open checksums the file and defers all posting/page decoding *)
+  Printf.printf "\n== Decode: mmap'd snapshot open + first pin ==\n%!";
+  Printf.printf "%10s %12s %10s %12s %12s\n" "articles" "bytes" "open (ms)"
+    "pin (us)" "lookup (ms)";
   let sizes =
     List.sort_uniq compare [ max 50 (articles / 10); max 120 (articles / 3); articles ]
   in
@@ -609,16 +573,12 @@ let decode_bench ctx =
         | (t, _) :: _ -> t
         | [] -> failwith "decode bench: empty index"
       in
-      let v4 = Filename.temp_file "tix_bench" ".tix" in
-      let v3 = Filename.temp_file "tix_bench" ".tix" in
+      let path = Filename.temp_file "tix_bench" ".tix" in
       Fun.protect
-        ~finally:(fun () ->
-          Sys.remove v4;
-          Sys.remove v3)
+        ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Store.Db.save db v4;
-          Store.Db.save_v3 db v3;
-          let open_pin path () =
+          Store.Db.save db path;
+          let open_pin () =
             let d = Store.Db.open_file_exn path in
             match
               Store.Pager.pin (Store.Element_store.pager (Store.Db.elements d))
@@ -628,20 +588,12 @@ let decode_bench ctx =
               failwith
                 (Format.asprintf "open bench pin: %a" Store.Pager.pp_read_error e)
           in
-          let t4 =
-            sample_floor
-              (Printf.sprintf "decode/open/v4/articles=%d" size)
-              (open_pin v4)
-          in
-          let t3 =
-            sample_floor
-              (Printf.sprintf "decode/open/v3/articles=%d" size)
-              (open_pin v3)
+          let t_open =
+            sample_floor (Printf.sprintf "decode/open/v4/articles=%d" size) open_pin
           in
           (* pin alone, on an already-open snapshot: the mapped pager
-             is born pinned (O(1) republication); the heap pager
-             re-verifies every page's checksum (linear) *)
-          let pin_only path =
+             is born pinned (O(1) republication) *)
+          let pin_only =
             let d = Store.Db.open_file_exn path in
             let pager = Store.Element_store.pager (Store.Db.elements d) in
             fun () ->
@@ -651,42 +603,26 @@ let decode_bench ctx =
                 failwith
                   (Format.asprintf "pin bench: %a" Store.Pager.pp_read_error e)
           in
-          let p4 =
-            sample_floor
-              (Printf.sprintf "decode/pin/v4/articles=%d" size)
-              (pin_only v4)
-          in
-          let p3 =
-            sample_floor
-              (Printf.sprintf "decode/pin/v3/articles=%d" size)
-              (pin_only v3)
+          let t_pin =
+            sample_floor (Printf.sprintf "decode/pin/v4/articles=%d" size) pin_only
           in
           (* open + first term lookup: the mapped dictionary decodes
-             lazily, so the v4 reader pays its probe-table build here
-             rather than at open; the legacy reader already decoded
-             every term eagerly *)
-          let open_lookup path () =
+             lazily, so the reader pays its probe-table build here
+             rather than at open *)
+          let open_lookup () =
             let d = Store.Db.open_file_exn path in
             match Ir.Inverted_index.lookup (Store.Db.index d) probe_term with
             | Some _ -> ()
             | None -> failwith "decode bench: probe term missing after open"
           in
-          let l4 =
+          let t_lookup =
             sample_floor
               (Printf.sprintf "decode/open+lookup/v4/articles=%d" size)
-              (open_lookup v4)
+              open_lookup
           in
-          let l3 =
-            sample_floor
-              (Printf.sprintf "decode/open+lookup/v3/articles=%d" size)
-              (open_lookup v3)
-          in
-          Printf.printf
-            "%10d %12d %10.2f %12d %10.2f %8.1fx %12.1f %12.1f %12.2f %12.2f\n%!"
-            size
-            (Unix.stat v4).Unix.st_size (t4 *. 1000.)
-            (Unix.stat v3).Unix.st_size (t3 *. 1000.) (t3 /. t4)
-            (p4 *. 1e6) (p3 *. 1e6) (l4 *. 1000.) (l3 *. 1000.)))
+          Printf.printf "%10d %12d %10.2f %12.1f %12.2f\n%!" size
+            (Unix.stat path).Unix.st_size (t_open *. 1000.) (t_pin *. 1e6)
+            (t_lookup *. 1000.)))
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -910,11 +846,6 @@ let ablation () =
         List.length (Access.Pattern_exec.matches ctx chain ~var:3))
   in
   Printf.printf "%24s %12.4f\n%!" "binary semi-joins" t_binary;
-  let t_holistic =
-    measure pager (fun () ->
-        List.length (Access.Path_stack.matches ctx chain ~var:3))
-  in
-  Printf.printf "%24s %12.4f\n%!" "holistic PathStack" t_holistic;
   let t_twig =
     measure pager (fun () ->
         List.length (Access.Twig_stack.matches ctx chain ~var:3))

@@ -7,7 +7,6 @@
      stats   load documents and print database statistics
      gen     write a synthetic INEX-like corpus to a directory
      build   build a persistent database image from XML files
-     compact rewrite an image in the current format (migrates TIXDB003)
      client  talk to a running tixd server (NDJSON over TCP)
      ingest  insert/replace documents in a running updatable tixd
      rm      delete documents from a running updatable tixd
@@ -586,39 +585,6 @@ let build_cmd =
     Term.(const run $ paths_arg $ out_arg $ skip_bad_arg)
 
 (* ------------------------------------------------------------------ *)
-(* compact *)
-
-let compact_cmd =
-  let run src dst =
-    match Store.Db.open_file src with
-    | Error e ->
-      Format.eprintf "error: %a@." Store.Db.pp_error e;
-      exit 1
-    | Ok db ->
-      Store.Db.save db dst;
-      let size = (Unix.stat dst).Unix.st_size in
-      Format.printf "wrote %s (%d bytes, current format): %a@." dst size
-        Store.Db.pp_stats (Store.Db.stats db)
-  in
-  let src_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"SRC" ~doc:"Existing database image (any readable version).")
-  in
-  let dst_arg =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"DST" ~doc:"Output image, written in the current format.")
-  in
-  Cmd.v
-    (Cmd.info "compact"
-       ~doc:
-         "Rewrite a database image in the current format (the migration path \
-          for legacy TIXDB003 images: open transparently upgrades, save \
-          writes TIXDB004)")
-    Term.(const run $ src_arg $ dst_arg)
-
-(* ------------------------------------------------------------------ *)
 (* client *)
 
 let resolve_addr host port =
@@ -1181,5 +1147,5 @@ let () =
        (Cmd.group info
           [
             query_cmd; search_cmd; phrase_cmd; stats_cmd; gen_cmd; build_cmd;
-            compact_cmd; shard_cmd; client_cmd; ingest_cmd; rm_cmd; demo_cmd;
+            shard_cmd; client_cmd; ingest_cmd; rm_cmd; demo_cmd;
           ]))

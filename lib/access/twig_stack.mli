@@ -2,9 +2,9 @@
     SIGMOD 2002 — reference [6] of the paper, "holistic twig joins:
     optimal XML pattern matching").
 
-    Generalizes {!Path_stack} from chains to branching patterns
-    ({e twigs}): the whole descendant-axis pattern is evaluated in
-    one coordinated pass over the per-variable candidate streams.
+    The whole descendant-axis pattern — a chain or a branching
+    {e twig} — is evaluated in one coordinated pass over the
+    per-variable candidate streams.
     The [getNext] discipline only pushes elements that provably
     participate in a complete twig solution — for descendant-only
     twigs no intermediate result contains useless elements, which is

@@ -159,24 +159,20 @@ let save t buf =
     add_string buf (Postings.serialize t.postings.(id))
   done
 
-(* [decode_postings] parses one term's posting payload occupying
-   [off .. off + len) of [buf]; the default keeps a zero-copy packed
-   view ({!Postings.deserialize_buf}), the legacy loader substitutes
-   the varint decode + re-pack of the TIXDB003 upgrade path.
-
-   With [~lazy_dict:true] the term strings are never materialized:
-   only each term's byte range is recorded and the dictionary is a
-   mapped view over [buf] ({!Dictionary.of_mapped}) whose strings and
-   probe table build lazily on first use — over an mmap'd image the
-   open allocates nothing proportional to the term bytes. *)
-let load_gen ~lazy_dict ~decode_postings buf off =
+(* Posting lists keep zero-copy packed views into [buf]
+   ({!Postings.deserialize_buf}), and the term strings are never
+   materialized: only each term's byte range is recorded and the
+   dictionary is a mapped view over [buf] ({!Dictionary.of_mapped})
+   whose strings and probe table build lazily on first use — over an
+   mmap'd image the open allocates nothing proportional to the term
+   bytes. *)
+let load_buf buf off =
   let stemmed, off = Codec.read_varint_buf buf off in
   let documents, off = Codec.read_varint_buf buf off in
   let total, off = Codec.read_varint_buf buf off in
   let n, off = Codec.read_varint_buf buf off in
   let offs = Array.make (max n 1) 0 in
   let lens = Array.make (max n 1) 0 in
-  let eager = if lazy_dict then None else Some (Dictionary.create ()) in
   let postings = Array.make n (Postings.of_list []) in
   let doc_freqs = Array.make n 0 in
   let off = ref off in
@@ -186,28 +182,21 @@ let load_gen ~lazy_dict ~decode_postings buf off =
       raise (Codec.Truncated "term string shorter than its header");
     offs.(id) <- o;
     lens.(id) <- tlen;
-    (match eager with
-    | Some d ->
-      let interned = Dictionary.intern d (Codec.buf_sub_string buf o tlen) in
-      assert (interned = id)
-    | None -> ());
     let o = o + tlen in
     let df, o = Codec.read_varint_buf buf o in
     let count, o = Codec.read_varint_buf buf o in
     let len, o = Codec.read_varint_buf buf o in
     if len < 0 || o + len > Codec.buf_length buf then
       raise (Codec.Truncated "posting payload shorter than its header");
-    postings.(id) <- decode_postings buf ~count ~off:o ~len;
+    let p, pend = Postings.deserialize_buf ~count buf o in
+    if pend > o + len then
+      raise (Codec.Truncated "posting payload overruns its framing");
+    postings.(id) <- p;
     doc_freqs.(id) <- df;
     off := o + len
   done;
-  let dictionary =
-    match eager with
-    | Some d -> d
-    | None -> Dictionary.of_mapped buf ~offs ~lens
-  in
   ( {
-      dictionary;
+      dictionary = Dictionary.of_mapped buf ~offs ~lens;
       postings;
       doc_freqs;
       documents;
@@ -216,41 +205,4 @@ let load_gen ~lazy_dict ~decode_postings buf off =
     },
     !off )
 
-let decode_packed buf ~count ~off ~len =
-  let p, pend = Postings.deserialize_buf ~count buf off in
-  if pend > off + len then
-    raise (Codec.Truncated "posting payload overruns its framing");
-  p
-
-let load_buf buf off = load_gen ~lazy_dict:true ~decode_postings:decode_packed buf off
-
 let load bytes off = load_buf (Codec.buf_of_bytes bytes) off
-
-(* ------------------------------------------------------------------ *)
-(* TIXDB003 compatibility: same outer framing, but each payload is the
-   legacy varint stream. Reading converts term by term through the
-   packed builder (the transparent in-memory upgrade); writing
-   re-encodes packed lists as varint so tests and benchmarks can
-   produce genuine version-3 images. *)
-
-let load_legacy bytes off =
-  let decode buf ~count ~off ~len =
-    Postings_varint.to_packed
-      (Postings_varint.deserialize ~count (Codec.buf_sub_string buf off len))
-  in
-  (* the upgrade decodes every byte anyway: keep the dictionary eager *)
-  load_gen ~lazy_dict:false ~decode_postings:decode (Codec.buf_of_bytes bytes) off
-
-let save_legacy t buf =
-  Codec.add_varint buf (if t.is_stemmed then 1 else 0);
-  Codec.add_varint buf t.documents;
-  Codec.add_varint buf t.total;
-  let n = Array.length t.postings in
-  Codec.add_varint buf n;
-  for id = 0 to n - 1 do
-    add_string buf (Dictionary.term t.dictionary id);
-    Codec.add_varint buf t.doc_freqs.(id);
-    Codec.add_varint buf (Postings.length t.postings.(id));
-    add_string buf
-      (Postings_varint.serialize (Postings_varint.of_packed t.postings.(id)))
-  done

@@ -78,16 +78,6 @@ val load_buf : Codec.buf -> int -> t * int
     table materialize on first lookup, so an open allocates nothing
     proportional to the term bytes. *)
 
-val save_legacy : t -> Buffer.t -> unit
-(** Serialize with the legacy varint posting payloads of TIXDB003
-    images (via {!Postings_varint}); used by [Db.save_v3] so compat
-    tests and benchmarks can produce genuine version-3 images. *)
-
-val load_legacy : Bytes.t -> int -> t * int
-(** Read a TIXDB003 index section, transparently re-encoding each
-    posting list through the packed builder — the in-memory upgrade
-    path of [Db.open_file]. *)
-
 val terms_by_freq : t -> (string * int) list
 (** All terms with their collection frequencies, most frequent
     first. Used by the benchmark harness to select query terms by

@@ -19,9 +19,7 @@
 
     A list decodes out of any {!Codec.buf} — {!deserialize_buf} keeps
     a zero-copy view, so postings read straight out of an mmap'd
-    TIXDB004 image. The previous varint codec lives on in
-    {!Postings_varint} for TIXDB003 compatibility and as the bench
-    baseline. *)
+    TIXDB004 image. *)
 
 type occ = { doc : int; node : int; pos : int }
 

@@ -74,8 +74,8 @@ let fault_stats snapshot =
   Store.Pager.fault (Store.Element_store.pager (Store.Db.elements snapshot.db))
   |> Option.map Store.Fault.stats
 
-let load ?pool_pages ?verify ?generation path =
-  match Store.Db.open_file ?pool_pages ?verify path with
+let load ?verify ?generation path =
+  match Store.Db.open_file ?verify path with
   | Ok db -> of_db ?generation ~source:path db
   | Error e -> Error (Store.Db.error_to_string e)
 

@@ -54,7 +54,6 @@ val of_db :
     a persisted table ({!Ir.Stats.Feedback.of_string}). *)
 
 val load :
-  ?pool_pages:int ->
   ?verify:[ `Eager | `Lazy ] ->
   ?generation:int ->
   string ->

@@ -79,6 +79,14 @@ let to_string v =
 
 exception Bad of int * string
 
+(* Nesting bound for untrusted input: each array or object level is a
+   recursive call, so an unbounded line of ['['] costs stack and heap
+   in proportion to its length. The service emits at most about a
+   dozen levels (a traced parallel search response is 7 deep; the
+   coordinator's Scatter/Shard graft adds 4); the cap leaves a wide
+   margin above that. *)
+let max_depth = 256
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -108,9 +116,19 @@ let parse s =
   in
   let parse_hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -206,10 +224,11 @@ let parse s =
       | Some i -> Int i
       | None -> fail (Printf.sprintf "bad number %s" text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -223,7 +242,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -245,7 +264,7 @@ let parse s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -265,7 +284,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing characters";
     v

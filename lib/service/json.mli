@@ -25,7 +25,9 @@ val to_buffer : Buffer.t -> t -> unit
 
 val parse : string -> (t, string) result
 (** Errors carry a byte offset. Numbers without [.], [e] or [E]
-    parse as [Int]; anything else as [Float]. *)
+    parse as [Int]; anything else as [Float]. Total: malformed input,
+    including a bad [\u] escape or arrays and objects nested deeper
+    than 256 levels, is an [Error], never an exception. *)
 
 (** {1 Accessors} — shallow, total *)
 

@@ -52,8 +52,8 @@ type t = {
   numberings : Xmlkit.Numbering.t array option;
   verif : verifier;
   coll_stats : Ir.Stats.t option Atomic.t;
-      (* planner statistics: decoded from the image's optional stats
-         section, or computed lazily by one element scan on first use *)
+      (* planner statistics: decoded from the image's stats section,
+         or computed lazily by one element scan on first use *)
 }
 
 type stats = {
@@ -388,10 +388,9 @@ let compact ~base ~delta ~tombstones =
 
 (* ------------------------------------------------------------------ *)
 (* Planner statistics: corpus aggregates + per-tag counts + path
-   synopsis ({!Ir.Stats}). Saved images carry them in an optional
-   sixth section; otherwise (in-memory builds, legacy images, images
-   written before the section existed) one element-store scan in
-   preorder computes them on first use and caches the result. *)
+   synopsis ({!Ir.Stats}). Saved images carry them in their sixth
+   section; an in-memory build computes them on first use by one
+   element-store scan in preorder and caches the result. *)
 
 let compute_collection_stats t =
   let istats = Ir.Inverted_index.stats t.index in
@@ -425,17 +424,16 @@ let pp_stats ppf s =
 (* Persistence
 
    Image layout (version 4: frame-of-reference bit-packed posting
-   blocks, serialized parent/tag index sections, mmap'd zero-copy
-   open; version 3 added the posting skip tables inside the index
-   section's payload):
+   blocks with skip tables, serialized parent/tag index sections,
+   mmap'd zero-copy open):
 
      magic   "TIXDB004"                       8 bytes
-     count   varint                           5 or 6
+     count   varint                           6
      section varint id, varint len,
              4-byte big-endian CRC-32,        catalog = 1,
              payload                          elements = 2, index = 3,
                                               parents = 4, tags = 5,
-                                              stats = 6 (optional)
+                                              stats = 6
 
    Sections appear in id order and the file ends exactly after the
    last payload. Every payload byte is covered by its section's
@@ -443,20 +441,16 @@ let pp_stats ppf s =
    single flipped byte anywhere is detected before any decoded value
    is trusted.
 
-   A version-4 image is opened by mapping the file (Unix.map_file)
-   and verifying every section CRC directly over the map — no copy,
-   no allocation proportional to the image. Posting lists and element
+   The image is opened by mapping the file (Unix.map_file) and
+   verifying every section CRC directly over the map — no copy, no
+   allocation proportional to the image. Posting lists and element
    pages then decode lazily, in place: the element pager is born
    pinned ([Pager.of_mapped]), so snapshot publication is O(1) and
-   the mapped pages are shared read-only across every domain.
-
-   Version-3 images still open: they are read into memory with the
-   legacy varint posting codec and transparently re-packed
-   ([Ir.Inverted_index.load_legacy]); the next [save] — e.g. a
-   checkpoint, or `tixdb compact` — writes version 4. *)
+   the mapped pages are shared read-only across every domain. This is
+   the only layout the reader accepts; an image in any other layout
+   is rebuilt from its XML. *)
 
 let magic = "TIXDB004"
-let magic_v3 = "TIXDB003"
 let magic_prefix = "TIXDB"
 
 let pp_error ppf = function
@@ -477,14 +471,7 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-(* The sixth section (planner statistics) is optional: images written
-   before it existed frame and verify exactly as before, and old
-   builds reject a six-section image by its header count — the
-   version byte in the magic is the compatibility contract, the
-   count check below merely bounds it. *)
 let section_names = [| "catalog"; "elements"; "index"; "parents"; "tags"; "stats" |]
-let required_sections = 5
-let section_names_v3 = [| "catalog"; "elements"; "index" |]
 
 let add_string buf s =
   Ir.Codec.add_varint buf (String.length s);
@@ -521,7 +508,17 @@ let section buf_size fill =
   fill buf;
   buf
 
-let write_image ~magic sections path =
+let save t path =
+  let sections =
+    [
+      catalog_section t;
+      section (1 lsl 20) (Element_store.save t.elements);
+      section (1 lsl 20) (Ir.Inverted_index.save t.index);
+      section (1 lsl 16) (Parent_index.save t.parents);
+      section (1 lsl 16) (Tag_index.save t.tags);
+      section (1 lsl 12) (Ir.Stats.save (collection_stats t));
+    ]
+  in
   let image = Buffer.create (1 lsl 20) in
   Buffer.add_string image magic;
   Ir.Codec.add_varint image (List.length sections);
@@ -543,36 +540,6 @@ let write_image ~magic sections path =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e);
   Sys.rename tmp path
-
-let save ?(with_stats = true) t path =
-  let base =
-    [
-      catalog_section t;
-      section (1 lsl 20) (Element_store.save t.elements);
-      section (1 lsl 20) (Ir.Inverted_index.save t.index);
-      section (1 lsl 16) (Parent_index.save t.parents);
-      section (1 lsl 16) (Tag_index.save t.tags);
-    ]
-  in
-  let sections =
-    if with_stats then
-      base @ [ section (1 lsl 12) (Ir.Stats.save (collection_stats t)) ]
-    else base
-  in
-  write_image ~magic sections path
-
-(* A genuine version-3 image (legacy varint postings, three sections,
-   no parent/tag sections): what previous builds of this code wrote.
-   Kept so compatibility tests and the snapshot-open benchmark can
-   produce the images the upgrade path must keep reading. *)
-let save_v3 t path =
-  write_image ~magic:magic_v3
-    [
-      catalog_section t;
-      section (1 lsl 20) (Element_store.save t.elements);
-      section (1 lsl 20) (Ir.Inverted_index.save_legacy t.index);
-    ]
-    path
 
 let decode_catalog buf ~off ~len =
   let limit = off + len in
@@ -597,21 +564,19 @@ let decode_catalog buf ~off ~len =
 (* Frame the section table over [buf]: purely structural checks on
    the header — section count, ids, lengths summing exactly to the
    file size. O(1) in the image size; trusts no payload byte. *)
-let frame ?min_sections ~path ~names buf =
-  let min_sections =
-    match min_sections with Some m -> m | None -> Array.length names
-  in
+let frame ~path buf =
+  let expected = Array.length section_names in
   let total = Ir.Codec.buf_length buf in
   match
     let nsections, off = Ir.Codec.read_varint_buf buf (String.length magic) in
-    if nsections < min_sections || nsections > Array.length names then
+    if nsections <> expected then
       Error
         (Corrupt
            {
              path;
              detail =
-               Printf.sprintf "expected %d-%d sections, header says %d"
-                 min_sections (Array.length names) nsections;
+               Printf.sprintf "expected %d sections, header says %d" expected
+                 nsections;
            })
     else begin
       let rec frame i off acc =
@@ -641,9 +606,9 @@ let frame ?min_sections ~path ~names buf =
                    path;
                    detail =
                      Printf.sprintf "%s section claims %d bytes, %d remain"
-                       names.(i) len (total - off);
+                       section_names.(i) len (total - off);
                  })
-          else frame (i + 1) (off + len) ((names.(i), off, len, crc) :: acc)
+          else frame (i + 1) (off + len) ((section_names.(i), off, len, crc) :: acc)
         end
       in
       frame 0 off []
@@ -670,31 +635,16 @@ let verify_sections ~path buf sections =
   in
   match bad with Some e -> Error e | None -> Ok ()
 
-(* Frame, then verify every checksum before trusting a single payload
-   byte — the eager open path. *)
-let frame_and_verify ?min_sections ~path ~names buf =
-  match frame ?min_sections ~path ~names buf with
-  | Error _ as e -> e
-  | Ok sections -> (
-    match verify_sections ~path buf sections with
-    | Error e -> Error e
-    | Ok () -> Ok sections)
-
 let find_section sections name =
   let _, off, len, _ = List.find (fun (n, _, _, _) -> n = name) sections in
   (off, len)
 
-let find_section_opt sections name =
-  List.find_map
-    (fun (n, off, len, _) -> if n = name then Some (off, len) else None)
-    sections
-
-(* Version 4: everything decodes straight out of the mapped buffer.
-   The catalog and the parent/tag sections are materialized eagerly
-   (they are small and already in their query shape); posting lists
-   keep zero-copy views; element pages stay slices of the map until a
-   query first touches them. *)
-let decode_v4 ~path ~verif buf sections =
+(* Everything decodes straight out of the mapped buffer. The catalog,
+   the parent/tag sections and the statistics are materialized
+   eagerly (they are small and already in their query shape); posting
+   lists keep zero-copy views; element pages stay slices of the map
+   until a query first touches them. *)
+let decode ~path ~verif buf sections =
   match
     let find = find_section sections in
     let cat_off, cat_len = find "catalog" in
@@ -712,18 +662,11 @@ let decode_v4 ~path ~verif buf sections =
     let t_off, t_len = find "tags" in
     let tags, t_end = Tag_index.load buf t_off in
     if t_end <> t_off + t_len then failwith "tags section length mismatch";
-    let coll_stats =
-      (* optional: absent in images written before the section
-         existed; they compute stats lazily like in-memory builds *)
-      match find_section_opt sections "stats" with
-      | None -> Atomic.make None
-      | Some (s_off, s_len) ->
-        let stats, s_end = Ir.Stats.load_buf buf s_off in
-        if s_end <> s_off + s_len then failwith "stats section length mismatch";
-        Atomic.make (Some stats)
-    in
+    let s_off, s_len = find "stats" in
+    let stats, s_end = Ir.Stats.load_buf buf s_off in
+    if s_end <> s_off + s_len then failwith "stats section length mismatch";
     { catalog; elements; parents; tags; index; numberings = None; verif;
-      coll_stats }
+      coll_stats = Atomic.make (Some stats) }
   with
   | db ->
     Log.info (fun m ->
@@ -733,58 +676,6 @@ let decode_v4 ~path ~verif buf sections =
   | exception e ->
     (* checksums passed but decoding still tripped: report, never
        escape *)
-    Error (Corrupt { path; detail = Printexc.to_string e })
-
-(* Version 3: legacy images carry varint postings, no parent/tag
-   sections, and pages meant for a heap pager. Read into memory,
-   re-pack the postings through the packed builder and rebuild the
-   structural indexes by scanning — the transparent in-memory
-   upgrade. Saving the result writes version 4. *)
-let decode_v3 ?pool_pages ~path bytes sections =
-  match
-    let find = find_section sections in
-    let cat_off, cat_len = find "catalog" in
-    let catalog =
-      decode_catalog (Ir.Codec.buf_of_bytes bytes) ~off:cat_off ~len:cat_len
-    in
-    let el_off, el_len = find "elements" in
-    let elements, el_end = Element_store.load ?pool_pages bytes el_off in
-    if el_end <> el_off + el_len then
-      failwith "elements section length mismatch";
-    let ix_off, ix_len = find "index" in
-    let index, ix_end = Ir.Inverted_index.load_legacy bytes ix_off in
-    if ix_end <> ix_off + ix_len then failwith "index section length mismatch";
-    let parent_builder = Parent_index.builder () in
-    let tag_builder = Tag_index.builder () in
-    Element_store.scan elements (fun (r : Element_rec.t) ->
-        Parent_index.add parent_builder ~doc:r.doc ~start:r.start
-          {
-            Parent_index.parent = r.parent;
-            child_count = r.child_count;
-            level = r.level;
-            end_ = r.end_;
-            tag = r.tag;
-          };
-        Tag_index.add tag_builder ~tag:r.tag
-          { Tag_index.doc = r.doc; start = r.start; end_ = r.end_; level = r.level });
-    {
-      catalog;
-      elements;
-      parents = Parent_index.freeze parent_builder;
-      tags = Tag_index.freeze tag_builder;
-      index;
-      numberings = None;
-      verif = verified ();
-      coll_stats = Atomic.make None;
-    }
-  with
-  | db ->
-    Log.info (fun m ->
-        m "%s: upgraded TIXDB003 image in memory (re-packed postings; \
-           resaving writes TIXDB004)"
-          path);
-    Ok db
-  | exception e ->
     Error (Corrupt { path; detail = Printexc.to_string e })
 
 (* The mapped image has two access phases: the checksum pass streams
@@ -799,7 +690,7 @@ let serve_hint ~path map =
   if Mmap_hints.advise map Mmap_hints.Random then
     Log.debug (fun m -> m "%s: madvise(RANDOM) for serving" path)
 
-let open_v4 ~verify ~path =
+let open_mapped ~verify ~path =
   match
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect
@@ -814,34 +705,31 @@ let open_v4 ~verify ~path =
   | map -> begin
     let buf = Ir.Codec.M map in
     willneed_hint ~path map;
-    match verify with
-    | `Eager -> (
-      match
-        frame_and_verify ~min_sections:required_sections ~path
-          ~names:section_names buf
-      with
-      | Error e -> Error e
-      | Ok sections -> (
-        match decode_v4 ~path ~verif:(verified ()) buf sections with
+    match frame ~path buf with
+    | Error e -> Error e
+    | Ok sections -> (
+      match verify with
+      | `Eager -> (
+        (* verify every checksum before trusting a single payload
+           byte *)
+        match verify_sections ~path buf sections with
         | Error e -> Error e
-        | Ok db ->
-          serve_hint ~path map;
-          Ok db))
-    | `Lazy -> (
-      (* Frame structurally (O(1)), start serving, and run the CRC
-         pass on a background thread. Reads meanwhile trust the
-         framing only — a payload corruption surfaces as `Failed once
-         the scan lands, exactly what a shard process wants: serving
-         state in O(1), integrity verdict seconds later. *)
-      match
-        frame ~min_sections:required_sections ~path ~names:section_names buf
-      with
-      | Error e -> Error e
-      | Ok sections -> (
+        | Ok () -> (
+          match decode ~path ~verif:(verified ()) buf sections with
+          | Error e -> Error e
+          | Ok db ->
+            serve_hint ~path map;
+            Ok db))
+      | `Lazy -> (
+        (* Start serving on the O(1) framing and run the CRC pass on a
+           background thread. Reads meanwhile trust the framing only —
+           a payload corruption surfaces as `Failed once the scan
+           lands, exactly what a shard process wants: serving state in
+           O(1), integrity verdict seconds later. *)
         let verif =
           { v_status = Atomic.make `Pending; v_thread = None }
         in
-        match decode_v4 ~path ~verif buf sections with
+        match decode ~path ~verif buf sections with
         | Error e -> Error e
         | Ok db ->
           verif.v_thread <-
@@ -875,29 +763,10 @@ let await_verification t =
   | `Verified | `Pending -> Ok ()
   | `Failed e -> Error e
 
-let open_v3 ?pool_pages path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        Bytes.of_string (really_input_string ic (in_channel_length ic)))
-  with
-  | exception Sys_error detail -> Error (Io_error { path; detail })
-  | exception End_of_file ->
-    Error (Truncated { path; detail = "file shorter than its own length" })
-  | bytes -> begin
-    match
-      frame_and_verify ~path ~names:section_names_v3 (Ir.Codec.buf_of_bytes bytes)
-    with
-    | Error e -> Error e
-    | Ok sections -> decode_v3 ?pool_pages ~path bytes sections
-  end
-
-let open_file ?pool_pages ?(verify = `Eager) path =
-  (* Sniff the 8-byte magic to pick the read strategy: version 4 maps
-     the file, version 3 reads it into memory for the upgrade (always
-     eager — the upgrade decodes every byte anyway). *)
+let open_file ?(verify = `Eager) path =
+  (* Sniff the 8-byte magic before mapping: a file that is not a TIX
+     image, or is one of another version, gets its typed error
+     without a map. *)
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -915,11 +784,10 @@ let open_file ?pool_pages ?(verify = `Eager) path =
       Error (Not_a_database { path })
     else if total < String.length magic then
       Error (Truncated { path; detail = "file ends inside the magic" })
-    else if head = magic then open_v4 ~verify ~path
-    else if head = magic_v3 then open_v3 ?pool_pages path
+    else if head = magic then open_mapped ~verify ~path
     else Error (Unsupported_version { path; found = head })
 
-let open_file_exn ?pool_pages ?verify path =
-  match open_file ?pool_pages ?verify path with
+let open_file_exn ?verify path =
+  match open_file ?verify path with
   | Ok db -> db
   | Error e -> failwith (error_to_string e)

@@ -73,9 +73,9 @@ val stats : t -> stats
 
 val collection_stats : t -> Ir.Stats.t
 (** Planner statistics (corpus aggregates, per-tag counts, path
-    synopsis). Decoded from the image's optional [stats] section when
-    present; otherwise computed by one element-store scan on first
-    use and cached. Safe to call from any domain. *)
+    synopsis). Decoded from an opened image's [stats] section; for an
+    in-memory build, computed by one element-store scan on first use
+    and cached. Safe to call from any domain. *)
 
 val document_id : t -> string -> int option
 
@@ -104,60 +104,47 @@ val compact : base:t -> delta:t option -> tombstones:bool array -> t
 (** {1 Persistence}
 
     A saved image is versioned and checksummed: a magic header
-    ([TIXDB004]) followed by five or six framed sections (catalog,
-    element pages, inverted index, parent index, tag index, and an
-    optional planner-statistics section), each carrying
-    its length and a CRC-32 of its payload. {!open_file} verifies
+    ([TIXDB004]) followed by six framed sections (catalog, element
+    pages, inverted index, parent index, tag index and planner
+    statistics), each carrying its length and a CRC-32 of its
+    payload. {!open_file} verifies
     every checksum before decoding a byte of a section, so any
     corruption of the image — a flipped bit, a torn write, a
     truncation — is reported as a typed {!error}, never as a crash
     or a silently wrong database.
 
-    Version 4 images are opened {e zero-copy}: the file is mapped
-    into memory and the checksum pass, the posting blocks and the
-    element pages all read the map in place. Opening cost is
-    dominated by the CRC scan, not by decoding, and resident memory
-    is shared read-only across domains by the OS page cache.
-    Version 3 images ([TIXDB003], varint postings, no parent/tag
-    sections) are still readable: they are upgraded transparently in
-    memory at open, and saving the result writes version 4. *)
+    Images are opened {e zero-copy}: the file is mapped into memory
+    and the checksum pass, the posting blocks and the element pages
+    all read the map in place. Opening cost is dominated by the CRC
+    scan, not by decoding, and resident memory is shared read-only
+    across domains by the OS page cache. This six-section layout is
+    the only one the reader accepts: any other magic is
+    [Unsupported_version], any other section count is [Corrupt]. An
+    image in an older layout is rebuilt from its XML. *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val save : ?with_stats:bool -> t -> string -> unit
-(** [save db path] writes the current-version ([TIXDB004]) database
-    image — catalog, element pages, inverted index, parent index,
-    tag index and (by default) the planner statistics section — to
-    one file. The write is atomic: the image is assembled in a
-    temporary file in the same directory and renamed over [path], so
-    a crash mid-save never leaves a torn image behind. Retained
-    trees are not persisted. [~with_stats:false] omits the sixth
-    section, producing the five-section layout older readers framed;
-    such images recompute statistics on first {!collection_stats}
-    call after open. *)
+val save : t -> string -> unit
+(** [save db path] writes the [TIXDB004] database image — catalog,
+    element pages, inverted index, parent index, tag index and
+    planner statistics — to one file. The write is atomic: the image
+    is assembled in a temporary file in the same directory and
+    renamed over [path], so a crash mid-save never leaves a torn
+    image behind. Retained trees are not persisted. *)
 
-val save_v3 : t -> string -> unit
-(** Write a legacy [TIXDB003] image (varint postings, three
-    sections). Exists for compatibility testing and as the baseline
-    of the decode benchmarks; new images should use {!save}. *)
+val open_file : ?verify:[ `Eager | `Lazy ] -> string -> (t, error) result
+(** Load a database image, mapped zero-copy: element pages
+    materialize lazily on first access, and the map itself is the
+    buffer pool. Trees are not retained (queries must use the
+    compiled engine path or reload the source documents).
 
-val open_file :
-  ?pool_pages:int -> ?verify:[ `Eager | `Lazy ] -> string -> (t, error) result
-(** Load a database image. Version 4 images are mapped zero-copy
-    (element pages materialize lazily on first access;
-    [?pool_pages] is ignored — the map itself is the pool); version
-    3 images are read into memory and upgraded on the fly. Trees are
-    not retained (queries must use the compiled engine path or
-    reload the source documents).
-
-    [verify] (default [`Eager]) controls the CRC pass on version-4
-    images: [`Eager] verifies every section checksum before
-    returning; [`Lazy] performs only the O(1) structural framing,
-    returns immediately, and runs the checksum scan on a background
-    thread — poll {!verification} or block on {!await_verification}
-    for the verdict. Version-3 images always verify eagerly (their
-    upgrade decodes every byte anyway). *)
+    [verify] (default [`Eager]) controls the CRC pass: [`Eager]
+    verifies every section checksum before returning; [`Lazy]
+    performs only the O(1) structural framing, returns immediately,
+    and runs the checksum scan on a background thread — poll
+    {!verification} or block on {!await_verification} for the
+    verdict. *)
 
 val verification : t -> [ `Verified | `Pending | `Failed of error ]
 (** Checksum status of the image behind this database. In-memory
@@ -168,7 +155,7 @@ val await_verification : t -> (unit, error) result
 (** Block until a lazy open's background checksum scan completes and
     return its verdict; immediate on eager/in-memory databases. *)
 
-val open_file_exn : ?pool_pages:int -> ?verify:[ `Eager | `Lazy ] -> string -> t
+val open_file_exn : ?verify:[ `Eager | `Lazy ] -> string -> t
 (** Like {!open_file} but raises [Failure] with the printed error —
     the pre-typed-error behaviour, kept for callers that treat a bad
     image as fatal. *)

@@ -211,24 +211,3 @@ let load_mapped buf off =
   done;
   let pager = Pager.of_mapped ~page_size ~buf slices in
   ({ pager; metas; elements; documents }, !off)
-
-let load ?pool_pages bytes off =
-  let page_size, off = Ir.Codec.read_varint bytes off in
-  let elements, off = Ir.Codec.read_varint bytes off in
-  let documents, off = Ir.Codec.read_varint bytes off in
-  let npages, off = Ir.Codec.read_varint bytes off in
-  let pager = Pager.create ?pool_pages ~page_size () in
-  let metas = Array.make npages { first_doc = 0; first_start = 0; records = 0 } in
-  let off = ref off in
-  for page_id = 0 to npages - 1 do
-    let first_doc, o = Ir.Codec.read_varint bytes !off in
-    let first_start, o = Ir.Codec.read_varint bytes o in
-    let records, o = Ir.Codec.read_varint bytes o in
-    let len, o = Ir.Codec.read_varint bytes o in
-    let page = Bytes.sub bytes o len in
-    let id = Pager.append_page pager page in
-    assert (id = page_id);
-    metas.(page_id) <- { first_doc; first_start; records };
-    off := o + len
-  done;
-  ({ pager; metas; elements; documents }, !off)

@@ -48,16 +48,13 @@ val scan_doc : t -> doc:int -> ?with_text:bool -> (Element_rec.t -> unit) -> uni
 val save : t -> Buffer.t -> unit
 (** Append the page image (page directory and raw pages). *)
 
-val load : ?pool_pages:int -> Bytes.t -> int -> t * int
-(** [load bytes off] is [(store, next_off)]; inverse of {!save}.
-    Copies every page out of [bytes] into a heap pager. *)
-
 val load_mapped : Ir.Codec.buf -> int -> t * int
-(** Like {!load} but zero-copy: pages stay as slices of [buf] (an
-    mmap'd image section whose CRC has been verified) behind a
-    born-pinned {!Pager.of_mapped} pager that materializes each page
-    lazily on first read. Raises [Ir.Codec.Truncated] if the page
-    table runs past the buffer. *)
+(** [load_mapped buf off] is [(store, next_off)]; inverse of {!save}.
+    Zero-copy: pages stay as slices of [buf] (an mmap'd image section
+    whose CRC has been verified) behind a born-pinned
+    {!Pager.of_mapped} pager that materializes each page lazily on
+    first read. Raises [Ir.Codec.Truncated] if the page table runs
+    past the buffer. *)
 
 val subtree_texts : t -> doc:int -> start:int -> end_:int -> string list
 (** Direct texts of every element whose interval lies within

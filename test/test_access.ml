@@ -74,13 +74,13 @@ let test_term_join_matches_naive_paper () =
   let ctx = Lazy.force paper_ctx in
   let terms = [ "search"; "retrieval" ] in
   same_results "tj vs naive"
-    (Access.Naive.scored ctx ~terms)
+    (Naive.scored ctx ~terms)
     (Access.Term_join.to_list ctx ~terms)
 
 let test_all_methods_agree_simple () =
   let ctx = Lazy.force synth_ctx in
   let terms = [ "alphaterm"; "betaterm" ] in
-  let naive = Access.Naive.scored ctx ~terms in
+  let naive = Naive.scored ctx ~terms in
   check bool_ "naive non-empty" true (naive <> []);
   same_results "termjoin" naive (Access.Term_join.to_list ctx ~terms);
   same_results "genmeet" naive (Access.Gen_meet.to_list ctx ~terms);
@@ -91,7 +91,7 @@ let test_all_methods_agree_complex () =
   let ctx = Lazy.force synth_ctx in
   let terms = [ "alphaterm"; "betaterm" ] in
   let mode = Access.Counter_scoring.Complex in
-  let naive = Access.Naive.scored ~mode ctx ~terms in
+  let naive = Naive.scored ~mode ctx ~terms in
   check bool_ "naive non-empty" true (naive <> []);
   same_results "termjoin plain" naive (Access.Term_join.to_list ~mode ctx ~terms);
   same_results "termjoin enhanced" naive
@@ -104,7 +104,7 @@ let test_methods_agree_weighted () =
   let ctx = Lazy.force synth_ctx in
   let terms = [ "alphaterm"; "gammaone"; "gammatwo" ] in
   let weights = [| 0.8; 0.6; 0.4 |] in
-  let naive = Access.Naive.scored ~weights ctx ~terms in
+  let naive = Naive.scored ~weights ctx ~terms in
   same_results "termjoin" naive (Access.Term_join.to_list ~weights ctx ~terms);
   same_results "genmeet" naive (Access.Gen_meet.to_list ~weights ctx ~terms);
   same_results "comp1" naive (Access.Composite.comp1_list ~weights ctx ~terms);
@@ -137,7 +137,7 @@ let test_methods_property =
       let ctx = Access.Ctx.of_db (Store.Db.load ~options (Workload.Corpus.generate cfg)) in
       let terms = [ "xterm"; "yterm" ] in
       let eq mode =
-        let naive = key_score_list (Access.Naive.scored ~mode ctx ~terms) in
+        let naive = key_score_list (Naive.scored ~mode ctx ~terms) in
         let close (k1, s1) (k2, s2) = k1 = k2 && abs_float (s1 -. s2) < 1e-6 in
         let all_eq l = List.length l = List.length naive && List.for_all2 close naive l in
         all_eq (key_score_list (Access.Term_join.to_list ~mode ctx ~terms))
@@ -168,7 +168,7 @@ let test_phrase_finder_paper () =
 let test_phrase_finder_vs_naive () =
   let ctx = Lazy.force synth_ctx in
   let phrase = [ "gammaone"; "gammatwo" ] in
-  let naive = Access.Naive.phrase_counts ctx ~phrase in
+  let naive = Naive.phrase_counts ctx ~phrase in
   let pf = phrase_counts_of (Access.Phrase_finder.to_list ctx ~phrase) in
   check bool_ "non-empty" true (naive <> []);
   check bool_ "phrase finder = naive" true (naive = pf)
@@ -199,7 +199,7 @@ let test_phrase_three_terms () =
   in
   let ctx = Access.Ctx.of_db (Store.Db.of_documents [ ("d.xml", doc) ]) in
   let phrase = [ "one"; "two"; "three" ] in
-  let naive = Access.Naive.phrase_counts ctx ~phrase in
+  let naive = Naive.phrase_counts ctx ~phrase in
   let pf = phrase_counts_of (Access.Phrase_finder.to_list ctx ~phrase) in
   let c3 = phrase_counts_of (Access.Composite.comp3_list ctx ~phrase) in
   check bool_ "pf = naive" true (naive = pf);
@@ -226,7 +226,7 @@ let test_phrase_property =
       let options = { Store.Db.default_options with keep_trees = false } in
       let ctx = Access.Ctx.of_db (Store.Db.load ~options (Workload.Corpus.generate cfg)) in
       let phrase = [ "pone"; "ptwo" ] in
-      let naive = Access.Naive.phrase_counts ctx ~phrase in
+      let naive = Naive.phrase_counts ctx ~phrase in
       let pf = phrase_counts_of (Access.Phrase_finder.to_list ctx ~phrase) in
       let c3 = phrase_counts_of (Access.Composite.comp3_list ctx ~phrase) in
       naive = pf && naive = c3)
@@ -921,7 +921,9 @@ let test_ranked_top_fraction () =
 
 
 (* ------------------------------------------------------------------ *)
-(* PathStack holistic chain join *)
+(* PathStack: path patterns through the stack join. PathStack is
+   TwigStack on a pattern whose nodes have at most one child, so the
+   chain cases run through Access.Twig_stack. *)
 
 let chain_pattern preds =
   (* builds //p1//p2//... with fresh vars 1.. *)
@@ -944,22 +946,26 @@ let chain_pattern preds =
 let test_path_stack_supported () =
   let open Core.Pattern in
   check bool_ "chain ok" true
-    (Access.Path_stack.supported (chain_pattern [ Tag "a"; Tag "b" ]));
-  let twig =
-    make
-      (pnode ~pred:(Tag "a") 1
-         [
-           pnode ~axis:Descendant ~pred:(Tag "b") 2 [];
-           pnode ~axis:Descendant ~pred:(Tag "c") 3 [];
-         ])
-      []
-  in
-  check bool_ "twig not supported" false (Access.Path_stack.supported twig);
+    (Access.Twig_stack.supported (chain_pattern [ Tag "a"; Tag "b" ]));
+  check bool_ "long chain ok" true
+    (Access.Twig_stack.supported
+       (chain_pattern [ Tag "a"; Tag "b"; Tag "c"; True ]));
   let pc_chain =
     make (pnode ~pred:(Tag "a") 1 [ pnode ~axis:Child ~pred:(Tag "b") 2 [] ]) []
   in
   check bool_ "pc chain not supported" false
-    (Access.Path_stack.supported pc_chain)
+    (Access.Twig_stack.supported pc_chain);
+  let deep_pc_chain =
+    make
+      (pnode ~pred:(Tag "a") 1
+         [
+           pnode ~axis:Descendant ~pred:(Tag "b") 2
+             [ pnode ~axis:Child ~pred:(Tag "c") 3 [] ];
+         ])
+      []
+  in
+  check bool_ "pc edge below the root not supported" false
+    (Access.Twig_stack.supported deep_pc_chain)
 
 let test_path_stack_paper () =
   let ctx = Lazy.force paper_ctx in
@@ -967,7 +973,7 @@ let test_path_stack_paper () =
   let pat = chain_pattern [ Tag "chapter"; Tag "section"; Tag "p" ] in
   List.iter
     (fun var ->
-      let ps = item_keys (Access.Path_stack.matches ctx pat ~var) in
+      let ps = item_keys (Access.Twig_stack.matches ctx pat ~var) in
       let pe = item_keys (Access.Pattern_exec.matches ctx pat ~var) in
       check
         (Alcotest.list (Alcotest.pair int_ int_))
@@ -975,10 +981,10 @@ let test_path_stack_paper () =
     [ 1; 2; 3 ];
   (* chapters containing section/p chains: only the third chapter *)
   check int_ "one chapter" 1
-    (List.length (Access.Path_stack.matches ctx pat ~var:1))
+    (List.length (Access.Twig_stack.matches ctx pat ~var:1))
 
 let test_path_stack_nested_same_tag () =
-  (* self-nesting elements stress the per-level stacks *)
+  (* self-nesting elements stress the per-node stacks *)
   let doc =
     Xmlkit.Parser.parse_string_exn
       "<a><a><b><a/><b>x</b></b></a><b/></a>"
@@ -988,7 +994,7 @@ let test_path_stack_nested_same_tag () =
   let pat = chain_pattern [ Tag "a"; Tag "a"; Tag "b" ] in
   List.iter
     (fun var ->
-      let ps = item_keys (Access.Path_stack.matches ctx pat ~var) in
+      let ps = item_keys (Access.Twig_stack.matches ctx pat ~var) in
       let pe = item_keys (Access.Pattern_exec.matches ctx pat ~var) in
       check
         (Alcotest.list (Alcotest.pair int_ int_))
@@ -1029,7 +1035,7 @@ let test_path_stack_property =
         (fun pat ->
           List.for_all
             (fun var ->
-              item_keys (Access.Path_stack.matches ctx pat ~var)
+              item_keys (Access.Twig_stack.matches ctx pat ~var)
               = item_keys (Access.Pattern_exec.matches ctx pat ~var))
             (Core.Pattern.vars pat))
         patterns)
@@ -1086,27 +1092,6 @@ let test_twig_stack_paper () =
             (Printf.sprintf "var %d" var) pe ts)
         (Core.Pattern.vars pat))
     patterns
-
-let test_twig_stack_chain_agrees_with_path_stack () =
-  let ctx = Lazy.force paper_ctx in
-  let open Core.Pattern in
-  let pat =
-    make
-      (pnode ~pred:(Tag "chapter") 1
-         [
-           pnode ~axis:Descendant ~pred:(Tag "section") 2
-             [ pnode ~axis:Descendant ~pred:(Tag "p") 3 [] ];
-         ])
-      []
-  in
-  List.iter
-    (fun var ->
-      check
-        (Alcotest.list (Alcotest.pair int_ int_))
-        (Printf.sprintf "var %d" var)
-        (item_keys (Access.Path_stack.matches ctx pat ~var))
-        (item_keys (Access.Twig_stack.matches ctx pat ~var)))
-    [ 1; 2; 3 ]
 
 let test_twig_stack_property =
   QCheck.Test.make ~name:"twig stack = pattern exec (random corpora)" ~count:12
@@ -1264,12 +1249,7 @@ let test_matchers_on_random_trees =
                   item_keys (Access.Twig_stack.matches ctx pat ~var)
                 else pe
               in
-              let path =
-                if Access.Path_stack.supported pat then
-                  item_keys (Access.Path_stack.matches ctx pat ~var)
-                else pe
-              in
-              expected = pe && expected = twig && expected = path)
+              expected = pe && expected = twig)
             (Core.Pattern.vars pat))
         patterns)
 
@@ -1285,18 +1265,6 @@ let test_error_paths () =
   in
   (match Access.Pattern_exec.matches ctx bad_pred ~var:1 with
   | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  let twig_pat =
-    make
-      (pnode ~pred:(Tag "a") 1
-         [
-           pnode ~axis:Descendant ~pred:(Tag "b") 2 [];
-           pnode ~axis:Descendant ~pred:(Tag "c") 3 [];
-         ])
-      []
-  in
-  (match Access.Path_stack.matches ctx twig_pat ~var:1 with
-  | _ -> Alcotest.fail "expected Invalid_argument for twig in PathStack"
   | exception Invalid_argument _ -> ());
   let pc_pat =
     make (pnode ~pred:(Tag "a") 1 [ pnode ~axis:Child ~pred:(Tag "b") 2 [] ]) []
@@ -1415,8 +1383,6 @@ let () =
         [
           tc "supported shapes" `Quick test_twig_stack_supported;
           tc "paper twigs" `Quick test_twig_stack_paper;
-          tc "chain agrees with path stack" `Quick
-            test_twig_stack_chain_agrees_with_path_stack;
           QCheck_alcotest.to_alcotest test_twig_stack_property;
         ] );
       ("errors", [ tc "invalid inputs rejected" `Quick test_error_paths ]);

@@ -292,35 +292,6 @@ let test_corruption_sweep_truncation () =
           end)
         cuts)
 
-let test_corruption_sweep_legacy_image () =
-  (* the TIXDB003 upgrade path gets the same guarantees: every
-     single-byte flip of a legacy image is a typed error, and the
-     pristine legacy image still opens *)
-  let db = fresh_db () in
-  let path = Filename.temp_file "tix_fault" ".tix" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Store.Db.save_v3 db path;
-      let image = read_file path in
-      let n = String.length image in
-      check bool_ "legacy image is non-trivial" true (n > 64);
-      for off = 0 to n - 1 do
-        let damaged = Bytes.of_string image in
-        Bytes.set damaged off (Char.chr (Char.code image.[off] lxor 0x01));
-        write_file path (Bytes.to_string damaged);
-        match Store.Db.open_file path with
-        | Ok _ -> Alcotest.failf "legacy flip at offset %d went undetected" off
-        | Error _ -> ()
-      done;
-      write_file path image;
-      match Store.Db.open_file path with
-      | Ok upgraded ->
-        check bool_ "pristine legacy upgrades" true
-          (Store.Db.stats db = Store.Db.stats upgraded)
-      | Error e ->
-        Alcotest.failf "pristine legacy rejected: %s" (Store.Db.error_to_string e))
-
 let test_corruption_reports_right_variant () =
   with_saved_image (fun _db path ->
       let image = read_file path in
@@ -576,7 +547,6 @@ let () =
           tc "pristine reopens" `Quick test_pristine_image_reopens;
           tc "byte-flip sweep" `Quick test_corruption_sweep_byte_flips;
           tc "truncation sweep" `Quick test_corruption_sweep_truncation;
-          tc "legacy image sweep" `Quick test_corruption_sweep_legacy_image;
           tc "right error variant" `Quick test_corruption_reports_right_variant;
           tc "missing file" `Quick test_missing_file_is_io_error;
         ] );

@@ -250,11 +250,29 @@ let cursor_run c ops =
       | `Seek (d, p) -> Ir.Postings.seek_pos c ~doc:d ~pos:p)
     ops
 
+(* The list model of a posting list: its occurrences in order, the
+   largest per-document count, one block per [block_size]
+   occurrences. *)
+let model_max_tf (occs : Ir.Postings.occ list) =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun (o : Ir.Postings.occ) ->
+      Hashtbl.replace counts o.doc
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts o.doc)))
+    occs;
+  Hashtbl.fold (fun _ c acc -> max c acc) counts 0
+
+let model_blocks occs =
+  (List.length occs + Ir.Postings.block_size - 1) / Ir.Postings.block_size
+
 let test_seek_matches_next_oracle =
   QCheck.Test.make ~name:"seek_pos/next agree with sequential oracle"
     ~count:500 (QCheck.make gen_seek_scenario) (fun (occs, ops) ->
       let p = Ir.Postings.of_list occs in
-      cursor_run (Ir.Postings.cursor p) ops = oracle_run occs ops)
+      Ir.Postings.to_list p = occs
+      && Ir.Postings.max_tf p = model_max_tf occs
+      && Ir.Postings.blocks p = model_blocks occs
+      && cursor_run (Ir.Postings.cursor p) ops = oracle_run occs ops)
 
 let test_seek_survives_serialization =
   QCheck.Test.make ~name:"serialize/deserialize preserves seek behavior"
@@ -406,36 +424,6 @@ let test_pack_bits_edges () =
   check int_ "bits_needed 256" 9 (Ir.Codec.bits_needed 256);
   check int_ "bits_needed max_int" 62 (Ir.Codec.bits_needed max_int)
 
-(* --- packed codec vs the varint oracle ----------------------------- *)
-
-(* The legacy varint codec is an independent implementation of the
-   same posting-list semantics; every behavior of the packed codec
-   must agree with it on the same occurrence stream. *)
-let varint_of_occs occs =
-  let b = Ir.Postings_varint.builder () in
-  List.iter (Ir.Postings_varint.add b) occs;
-  Ir.Postings_varint.freeze b
-
-let test_packed_matches_varint_oracle =
-  QCheck.Test.make ~name:"packed codec agrees with varint oracle" ~count:300
-    (QCheck.make gen_seek_scenario) (fun (occs, ops) ->
-      let packed = Ir.Postings.of_list occs in
-      let varint = varint_of_occs occs in
-      let varint_run c ops =
-        List.map
-          (function
-            | `Next -> Ir.Postings_varint.next c
-            | `Seek (d, p) -> Ir.Postings_varint.seek_pos c ~doc:d ~pos:p)
-          ops
-      in
-      Ir.Postings.to_list packed = Ir.Postings_varint.to_list varint
-      && Ir.Postings.max_tf packed = Ir.Postings_varint.max_tf varint
-      && Ir.Postings.blocks packed = Ir.Postings_varint.blocks varint
-      && cursor_run (Ir.Postings.cursor packed) ops
-         = varint_run (Ir.Postings_varint.cursor varint) ops
-      && Ir.Postings.to_list (Ir.Postings_varint.to_packed varint) = occs
-      && Ir.Postings_varint.to_list (Ir.Postings_varint.of_packed packed) = occs)
-
 let test_packed_degenerate_blocks () =
   let bs = Ir.Postings.block_size in
   (* one document, one node, consecutive positions: the doc and node
@@ -461,10 +449,7 @@ let test_packed_degenerate_blocks () =
   check bool_ "max-width serialize roundtrip" true
     (Ir.Postings.to_list
        (Ir.Postings.deserialize ~count:3 (Ir.Postings.serialize p))
-    = huge);
-  check bool_ "max-width agrees with varint" true
-    (Ir.Postings_varint.to_list (varint_of_occs huge)
-    = Ir.Postings.to_list p)
+    = huge)
 
 let test_packed_decodes_from_bigarray =
   QCheck.Test.make ~name:"packed postings decode from a Bigarray map"
@@ -892,7 +877,6 @@ let () =
           tc "pack_bits edges" `Quick test_pack_bits_edges;
           tc "degenerate blocks" `Quick test_packed_degenerate_blocks;
           QCheck_alcotest.to_alcotest test_pack_bits_roundtrip;
-          QCheck_alcotest.to_alcotest test_packed_matches_varint_oracle;
           QCheck_alcotest.to_alcotest test_packed_decodes_from_bigarray;
         ] );
       ( "inverted index",

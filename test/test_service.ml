@@ -86,6 +86,38 @@ let test_json_parse_basics () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing junk accepted"
 
+let test_json_bad_unicode_escape () =
+  (* a \u escape takes exactly four hex digits; anything else is a
+     typed error, never an exception out of the parser *)
+  List.iter
+    (fun s ->
+      match Service.Json.parse s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | exception e ->
+        Alcotest.failf "%S raised %s" s (Printexc.to_string e))
+    [ {|"\uzzzz"|}; {|"\u12g4"|}; {|"\u1_23"|}; {|"\u-123"|}; {|"\u12"|};
+      {|"\ud83d\uzzzz"|}; {|{"op":"\uzzzz"}|} ];
+  match Service.Protocol.parse_request {|{"op":"\uzzzz"}|} with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "request with a bad escape accepted"
+
+let test_json_depth_cap () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  (match Service.Json.parse (nested 200) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "200 levels rejected: %s" e);
+  let deep_obj =
+    String.concat "" (List.init 300 (fun _ -> {|{"a":|})) ^ "1"
+    ^ String.make 300 '}'
+  in
+  List.iter
+    (fun s ->
+      match Service.Json.parse s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "nesting past the cap accepted")
+    [ nested 300; deep_obj; String.make 1_000_000 '[' ]
+
 (* Floats cross the wire exactly: the text parses back to the same
    bits, including near-ties that 12 digits would merge
    (2.9999999999999996 vs 3) and integral values past 1e15. *)
@@ -1017,12 +1049,24 @@ let test_tcp_server () =
           | _ -> ())
         results;
       (* protocol errors answer without closing the line *)
-      (match send_lines port [ "not json"; {|{"op":"nope"}|}; {|{"op":"health"}|} ] with
-      | [ bad1; bad2; ok ] ->
+      (match
+         send_lines port
+           [ "not json"; {|{"op":"nope"}|}; {|{"op":"\uzzzz"}|}; {|{"op":"health"}|} ]
+       with
+      | [ bad1; bad2; bad3; ok ] ->
         check bool_ "bad json rejected" true (not (is_ok bad1));
         check bool_ "unknown op rejected" true (not (is_ok bad2));
+        let code =
+          match Service.Json.parse bad3 with
+          | Ok j ->
+            Option.bind (Service.Json.member "error" j) (fun e ->
+                Option.bind (Service.Json.member "code" e) Service.Json.to_string_opt)
+          | Error _ -> None
+        in
+        check (Alcotest.option string_) "bad escape is a bad_request"
+          (Some "bad_request") code;
         check bool_ "line survives" true (is_ok ok)
-      | other -> Alcotest.failf "expected 3 responses, got %d" (List.length other));
+      | other -> Alcotest.failf "expected 4 responses, got %d" (List.length other));
       (* stats over the wire *)
       match send_lines port [ {|{"op":"stats"}|} ] with
       | [ stats ] ->
@@ -1111,6 +1155,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
           Alcotest.test_case "escapes" `Quick test_json_escaped_output_parses;
+          Alcotest.test_case "bad \\u escape" `Quick test_json_bad_unicode_escape;
+          Alcotest.test_case "nesting depth cap" `Quick test_json_depth_cap;
           QCheck_alcotest.to_alcotest test_json_float_roundtrip;
         ] );
       ( "lru",

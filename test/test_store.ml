@@ -439,23 +439,24 @@ let test_db_save_open () =
       check bool_ "no trees" true
         (Store.Db.subtree reopened ~doc:0 ~start:0 = None))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
+
 let test_db_stats_section () =
-  (* the optional TIXDB004 stats section: saved by default, loaded on
-     open, and absent from a [~with_stats:false] compat image, which
-     still opens and recomputes the same statistics from a scan *)
+  (* the stats section is the image's sixth: saved, loaded on open
+     and equal to the statistics computed from a scan. A header that
+     frames only the first five sections (the layout written before
+     the section existed) is a typed error on either open path. *)
   let db = Lazy.force db in
   let path = Filename.temp_file "tix" ".db" in
   let path5 = Filename.temp_file "tix" ".db" in
-  (* the framed section count is the varint right after the magic;
-     both counts fit one byte *)
-  let section_count_of p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        seek_in ic 8;
-        Char.code (input_char ic))
-  in
   Fun.protect
     ~finally:(fun () ->
       Sys.remove path;
@@ -466,17 +467,33 @@ let test_db_stats_section () =
       check int_ "stats agree with store"
         (Store.Db.stats db).Store.Db.elements s.Ir.Stats.elements;
       Store.Db.save db path;
-      check int_ "six sections with stats" 6 (section_count_of path);
+      let image = read_file path in
+      (* the framed section count is the varint right after the
+         magic; it fits one byte *)
+      check int_ "six sections" 6 (Char.code image.[8]);
       let reopened = Store.Db.open_file_exn path in
       check bool_ "persisted stats equal computed" true
         (Store.Db.collection_stats reopened = s);
-      Store.Db.save ~with_stats:false db path5;
-      check int_ "five sections without stats" 5 (section_count_of path5);
-      let compat = Store.Db.open_file_exn path5 in
-      check bool_ "compat image recomputes the same stats" true
-        (Store.Db.collection_stats compat = s);
-      check bool_ "compat image stats" true
-        (Store.Db.stats compat = Store.Db.stats db))
+      (* walk the framing to the end of the fifth section *)
+      let bytes = Bytes.of_string image in
+      let rec section_end i off =
+        if i = 5 then off
+        else
+          let _id, off = Ir.Codec.read_varint bytes off in
+          let len, off = Ir.Codec.read_varint bytes off in
+          section_end (i + 1) (off + 4 + len)
+      in
+      let cut = section_end 0 9 in
+      write_file path5 (String.sub image 0 8 ^ "\005" ^ String.sub image 9 (cut - 9));
+      List.iter
+        (fun verify ->
+          match Store.Db.open_file ~verify path5 with
+          | Error (Store.Db.Corrupt _) -> ()
+          | Error e ->
+            Alcotest.failf "five-section header: wanted Corrupt, got %s"
+              (Store.Db.error_to_string e)
+          | Ok _ -> Alcotest.fail "five-section header accepted")
+        [ `Eager; `Lazy ])
 
 let test_db_open_rejects_garbage () =
   let path = Filename.temp_file "tix" ".db" in
@@ -508,44 +525,27 @@ let test_persistence_query_agreement () =
       in
       check bool_ "same scored nodes" true (run db = run reopened))
 
-let test_db_v3_upgrade () =
-  (* a legacy TIXDB003 image opens transparently, answers queries
-     identically, and resaving it writes the current format *)
+let test_db_v3_unsupported () =
+  (* TIXDB003 images are not read: the magic is recognized as a TIX
+     image of another version and refused with a typed error *)
   let db = Lazy.force db in
   let path = Filename.temp_file "tix" ".db" in
-  let path_v4 = Filename.temp_file "tix" ".db" in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove path_v4)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Store.Db.save_v3 db path;
-      let magic_of p =
-        let ic = open_in_bin p in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic 8)
-      in
-      check string_ "legacy magic" "TIXDB003" (magic_of path);
-      let upgraded =
-        match Store.Db.open_file path with
-        | Ok d -> d
-        | Error e -> Alcotest.failf "v3 open failed: %s" (Store.Db.error_to_string e)
-      in
-      check bool_ "same stats" true (Store.Db.stats db = Store.Db.stats upgraded);
-      let run d =
-        Access.Term_join.to_list (Access.Ctx.of_db d)
-          ~terms:[ "search"; "retrieval" ]
-      in
-      check bool_ "same scored nodes" true (run db = run upgraded);
-      (* parent and tag indexes were rebuilt by the upgrade scan *)
-      check (Alcotest.option int_) "parent rebuilt" (Some 0)
-        (Store.Parent_index.parent_of (Store.Db.parents upgraded) ~doc:0 ~start:1);
-      (* resave: the upgraded database writes the current format *)
-      Store.Db.save upgraded path_v4;
-      check string_ "resave migrates" "TIXDB004" (magic_of path_v4);
-      let reopened = Store.Db.open_file_exn path_v4 in
-      check bool_ "migrated image agrees" true (run db = run reopened))
+      Store.Db.save db path;
+      let image = read_file path in
+      write_file path ("TIXDB003" ^ String.sub image 8 (String.length image - 8));
+      List.iter
+        (fun verify ->
+          match Store.Db.open_file ~verify path with
+          | Error (Store.Db.Unsupported_version { found; _ }) ->
+            check string_ "found version" "TIXDB003" found
+          | Error e ->
+            Alcotest.failf "wanted Unsupported_version, got %s"
+              (Store.Db.error_to_string e)
+          | Ok _ -> Alcotest.fail "TIXDB003 image accepted")
+        [ `Eager; `Lazy ])
 
 let test_db_mapped_lazy_pages () =
   (* a mapped image materializes element pages on first touch only;
@@ -706,7 +706,7 @@ let () =
           tc "stats section" `Quick test_db_stats_section;
           tc "rejects garbage" `Quick test_db_open_rejects_garbage;
           tc "query agreement" `Quick test_persistence_query_agreement;
-          tc "v3 transparent upgrade" `Quick test_db_v3_upgrade;
+          tc "v3 image unsupported" `Quick test_db_v3_unsupported;
           tc "mapped lazy pages" `Quick test_db_mapped_lazy_pages;
           tc "lazy verify" `Quick test_db_lazy_verify;
           tc "lazy verify catches corruption" `Quick
