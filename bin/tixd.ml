@@ -8,50 +8,7 @@
 
 open Cmdliner
 
-let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  match Sys.getenv_opt "TIX_LOG" with
-  | Some "debug" -> Logs.set_level (Some Logs.Debug)
-  | Some "info" -> Logs.set_level (Some Logs.Info)
-  | Some _ | None -> Logs.set_level (Some Logs.Warning)
-
-let load_files ~skip_bad ~verify paths =
-  match paths with
-  | [ path ] when Filename.check_suffix path ".tix" -> begin
-    match Store.Db.open_file ~verify path with
-    | Ok db -> db
-    | Error e ->
-      Format.eprintf "error: %a@." Store.Db.pp_error e;
-      exit 1
-  end
-  | paths when skip_bad ->
-    let docs =
-      List.to_seq paths
-      |> Seq.map (fun path ->
-             ( Filename.basename path,
-               match Xmlkit.Parser.parse_file path with
-               | Ok root -> Ok root
-               | Error e ->
-                 Error
-                   (Format.asprintf "parse error: %a" Xmlkit.Parser.pp_error e)
-             ))
-    in
-    let db, report = Store.Db.load_isolated docs in
-    if report.failed <> [] then
-      Format.eprintf "%a@." Store.Db.pp_load_report report;
-    db
-  | paths ->
-    let docs =
-      List.map
-        (fun path ->
-          match Xmlkit.Parser.parse_file path with
-          | Ok root -> (Filename.basename path, root)
-          | Error e ->
-            Format.eprintf "%s: parse error: %a@." path Xmlkit.Parser.pp_error e;
-            exit 1)
-        paths
-    in
-    Store.Db.of_documents docs
+let () = Front.init_logs ()
 
 let open_live ?base ?wal_batch ?wal_linger ~dir () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -84,7 +41,7 @@ let serve paths host port workers queue_depth parallelism plan_cache
   let base =
     match paths with
     | [] -> None
-    | paths -> Some (load_files ~skip_bad ~verify paths)
+    | paths -> Some (Front.load_files ~skip_bad ~verify paths)
   in
   let base_label = match paths with [ p ] -> p | _ -> "<multiple>" in
   Service.Engine.set_slow_query_threshold slow_query;

@@ -15,54 +15,7 @@
 
 open Cmdliner
 
-let () =
-  (* logging: TIX_LOG=debug|info enables tracing on stderr *)
-  Logs.set_reporter (Logs_fmt.reporter ());
-  match Sys.getenv_opt "TIX_LOG" with
-  | Some "debug" -> Logs.set_level (Some Logs.Debug)
-  | Some "info" -> Logs.set_level (Some Logs.Info)
-  | Some _ | None -> Logs.set_level (Some Logs.Warning)
-
-let load_files ~skip_bad paths =
-  (* a single .tix argument is a saved database image *)
-  match paths with
-  | [ path ] when Filename.check_suffix path ".tix" -> begin
-    match Store.Db.open_file path with
-    | Ok db -> db
-    | Error e ->
-      Format.eprintf "error: %a@." Store.Db.pp_error e;
-      exit 1
-  end
-  | paths when skip_bad ->
-    (* error-isolated bulk load: bad documents are reported and
-       skipped, the rest of the corpus still loads *)
-    let docs =
-      List.to_seq paths
-      |> Seq.map (fun path ->
-             ( Filename.basename path,
-               match Xmlkit.Parser.parse_file path with
-               | Ok root -> Ok root
-               | Error e ->
-                 Error
-                   (Format.asprintf "parse error: %a" Xmlkit.Parser.pp_error e)
-             ))
-    in
-    let db, report = Store.Db.load_isolated docs in
-    if report.failed <> [] then
-      Format.eprintf "%a@." Store.Db.pp_load_report report;
-    db
-  | paths ->
-    let docs =
-      List.map
-        (fun path ->
-          match Xmlkit.Parser.parse_file path with
-          | Ok root -> (Filename.basename path, root)
-          | Error e ->
-            Format.eprintf "%s: parse error: %a@." path Xmlkit.Parser.pp_error e;
-            exit 1)
-        paths
-    in
-    Store.Db.of_documents docs
+let () = Front.init_logs ()
 
 let paths_arg =
   Arg.(
@@ -109,28 +62,6 @@ let limits_term =
   in
   Term.(const mk $ timeout_arg $ max_steps_arg $ max_results_arg)
 
-(* Run [f] under a fresh governor; afterwards charge the produced
-   cardinality and sample the deadline, so even access methods that
-   are not internally governed report budget breaches uniformly. *)
-let governed limits f =
-  let gov = Core.Governor.start limits in
-  let results = f () in
-  let n = List.length results in
-  Core.Governor.tick_n gov n;
-  Core.Governor.check_results gov n;
-  Core.Governor.check_deadline gov;
-  results
-
-(* Parallel variant: one shared budget across every domain of the
-   fan-out, settled (and the deadline sampled) once the merge is
-   done, so --max-steps bounds the whole query, not one chunk. *)
-let governed_parallel limits f =
-  let sh = Core.Governor.make_shared limits in
-  let results = f sh in
-  Core.Governor.shared_check_results sh (List.length results);
-  Core.Governor.shared_check_deadline sh;
-  results
-
 let parallel_arg =
   Arg.(
     value & opt int 1
@@ -140,15 +71,37 @@ let parallel_arg =
            access method across up to N domains (results are identical to \
            sequential execution). 1 disables it.")
 
-let or_fault_exit f =
-  match f () with
-  | v -> v
-  | exception Core.Governor.Resource_exhausted v ->
-    Format.eprintf "error: %a@." Core.Governor.pp_violation v;
+(* query, search and phrase run their request through Service.Engine,
+   the entry point tixd serves, against a snapshot of the loaded
+   corpus *)
+let snapshot ~skip_bad paths =
+  match Service.Engine.of_db (Front.load_files ~skip_bad paths) with
+  | Ok s -> s
+  | Error msg ->
+    Format.eprintf "error: %s@." msg;
     exit 1
-  | exception Store.Pager.Read_error e ->
-    Format.eprintf "storage error: %a@." Store.Pager.pp_read_error e;
-    exit 1
+
+let fail e =
+  Format.eprintf "error: %s@." (Service.Engine.error_message e);
+  exit 1
+
+let exec ?k ~limits ~trace ~parallel snapshot request =
+  match
+    Service.Engine.exec ?k ~limits ~trace ~parallelism:parallel snapshot
+      request
+  with
+  | Ok r -> r
+  | Error e -> fail e
+
+let execute_ms (r : Service.Engine.result) =
+  1000. *. Option.value ~default:0. (List.assoc_opt "execute" r.timings)
+
+let print_trace (r : Service.Engine.result) =
+  Option.iter
+    (fun sp -> Format.printf "@.%s@." (Core.Trace.span_to_string sp))
+    r.trace
+
+let print_json json = print_endline (Service.Json.to_string json)
 
 (* ------------------------------------------------------------------ *)
 (* query *)
@@ -156,109 +109,45 @@ let or_fault_exit f =
 let format_conv = Arg.enum [ ("text", `Text); ("json", `Json) ]
 
 let query_cmd =
-  let run paths query_string engine explain trace format skip_bad limits =
-    let db = load_files ~skip_bad paths in
-    match format with
-    | `Json ->
-      (* structured output through the service layer, so scripts and
-         the tixd protocol share one encoder *)
-      let snapshot =
-        match Service.Engine.of_db db with
-        | Ok s -> s
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          exit 1
-      in
-      if explain && not trace then begin
-        (* EXPLAIN without ANALYZE: compile only, print the plan,
-           costed against the loaded database's statistics *)
-        match Service.Engine.explain ~snapshot query_string with
-        | Ok plan ->
-          print_endline
-            (Service.Json.to_string (Service.Protocol.ok_plan_to_json plan))
-        | Error e ->
-          print_endline
-            (Service.Json.to_string (Service.Protocol.engine_error_to_json e));
-          exit 1
-      end
-      else begin
-        let mode = if engine || explain then `Engine else `Auto in
-        let request = Service.Engine.Query { q = query_string; mode } in
-        let json, failed =
-          match Service.Engine.exec ~limits ~trace snapshot request with
-          | Ok result -> (Service.Protocol.result_to_json result, false)
-          | Error e -> (Service.Protocol.engine_error_to_json e, true)
-        in
-        print_endline (Service.Json.to_string json);
-        if failed then exit 1
-      end
-    | `Text ->
-    let tracer = if trace then Core.Trace.make () else Core.Trace.disabled in
-    let print_trace () =
-      if trace then
-        match Core.Trace.root tracer with
-        | Some sp -> Format.printf "@.%s@." (Core.Trace.span_to_string sp)
-        | None -> ()
-    in
-    if engine || explain then begin
-      (* try the compiled path; report the plan and identifiers *)
-      match Query.Parser.parse query_string with
-      | Error e ->
-        Format.eprintf "parse error: %a@." Query.Parser.pp_error e;
+  let run paths q engine explain trace format skip_bad limits =
+    let snapshot = snapshot ~skip_bad paths in
+    (* --explain stops at the plan unless --trace (in text output, also
+       --engine) asks for EXPLAIN ANALYZE; the plan is costed against
+       the loaded database's statistics *)
+    if explain && (not trace) && (format = `Json || not engine) then begin
+      match format, Service.Engine.explain ~snapshot q with
+      | `Json, Ok plan -> print_json (Service.Protocol.ok_plan_to_json plan)
+      | `Text, Ok plan -> Format.printf "%s@.@." plan
+      | `Json, Error e ->
+        print_json (Service.Protocol.engine_error_to_json e);
         exit 1
-      | Ok q -> begin
-        match Query.Compile.compile q with
-        | Error reason ->
-          Format.eprintf
-            "not compilable (%s); it would run on the interpreter@." reason;
-          exit 1
-        | Ok plan ->
-          let plan = Query.Compile.plan_with_stats db plan in
-          Format.printf "%s@.@." (Query.Compile.explain plan);
-          (* --explain alone stops at the plan; --engine or --trace
-             also executes (EXPLAIN ANALYZE) *)
-          if engine || trace then begin
-            let nodes =
-              or_fault_exit (fun () ->
-                  Query.Compile.execute ~limits ~trace:tracer db plan)
-            in
-            (* est-vs-actual per operator in the printed span tree *)
-            (match plan.Query.Compile.estimate, Core.Trace.root tracer with
-            | Some d, Some sp ->
-              Core.Trace.apply_estimates sp
-                [
-                  ( Access.Pattern_exec.access_operator
-                      plan.Query.Compile.access,
-                    d.Query.Planner.est_rows );
-                  ("CompiledQuery", d.Query.Planner.est_rows);
-                ]
-            | _ -> ());
-            List.iter
-              (fun (n : Access.Scored_node.t) ->
-                let tag =
-                  Option.value ~default:"?"
-                    (Store.Db.tag_of db ~doc:n.doc ~start:n.start)
-                in
-                Format.printf "%-14s doc=%d start=%d score=%.3f@." tag n.doc
-                  n.start n.score)
-              nodes;
-            Format.printf "(%d results)@." (List.length nodes);
-            print_trace ()
-          end
-      end
+      | `Text, Error e -> fail e
     end
     else begin
-      let evaluator = Query.Eval.create ~limits ~trace:tracer db in
-      match Query.Eval.run_string evaluator query_string with
-      | Ok results ->
-        List.iter
-          (fun r -> print_string (Xmlkit.Printer.to_string ~indent:2 r))
-          results;
-        Format.printf "(%d results)@." (List.length results);
-        print_trace ()
-      | Error msg ->
-        Format.eprintf "error: %s@." msg;
+      (* text output interprets unless asked to compile; JSON output
+         compiles when it can, as tixd does *)
+      let mode =
+        if engine || explain then `Engine
+        else if format = `Json then `Auto
+        else `Interp
+      in
+      let request = Service.Engine.Query { q; mode } in
+      match format, Service.Engine.exec ~limits ~trace snapshot request with
+      | `Json, Ok r -> print_json (Service.Protocol.result_to_json r)
+      | `Json, Error e ->
+        print_json (Service.Protocol.engine_error_to_json e);
         exit 1
+      | `Text, Error e -> fail e
+      | `Text, Ok r ->
+        Option.iter (Format.printf "%s@.@.") r.plan;
+        List.iter
+          (fun (row : Service.Engine.row) ->
+            Format.printf "%-14s doc=%d start=%d score=%.3f@." row.tag row.doc
+              row.start row.score)
+          r.rows;
+        List.iter print_string r.trees;
+        Format.printf "(%d results)@." r.total;
+        print_trace r
     end
   in
   let query_arg =
@@ -313,107 +202,48 @@ let query_cmd =
 
 let method_conv =
   Arg.enum
-    [
-      ("termjoin", `Termjoin);
-      ("enhanced", `Enhanced);
-      ("genmeet", `Genmeet);
-      ("comp1", `Comp1);
-      ("comp2", `Comp2);
-      ("auto", `Auto);
-    ]
+    (List.map
+       (fun m -> (Service.Engine.search_method_to_string m, m))
+       Service.Engine.[ Termjoin; Enhanced; Genmeet; Comp1; Comp2; Auto ])
+
+(* A row's keyword-in-context snippet, read from its subtree *)
+let snippet (snapshot : Service.Engine.snapshot) ~terms
+    (row : Service.Engine.row) =
+  match
+    Access.Ctx.node_entry snapshot.ctx ~nav:Access.Ctx.Parent_index
+      ~doc:row.doc ~start:row.start
+  with
+  | None -> ""
+  | Some e ->
+    Access.Snippet.of_node ~width:16 snapshot.ctx ~terms
+      {
+        doc = row.doc;
+        start = row.start;
+        end_ = e.end_;
+        level = e.level;
+        tag = e.tag;
+        score = row.score;
+      }
 
 let search_cmd =
   let run paths terms method_ complex top trace parallel skip_bad limits =
-    let db = load_files ~skip_bad paths in
-    let ctx = Access.Ctx.of_db db in
+    let snapshot = snapshot ~skip_bad paths in
     let terms = String.split_on_char ',' terms |> List.map String.trim in
-    let mode =
-      if complex then Access.Counter_scoring.Complex
-      else Access.Counter_scoring.Simple
+    let r =
+      exec ~k:(max 0 top) ~limits ~trace ~parallel snapshot
+        (Service.Engine.Search { terms; method_; complex; anchor = None })
     in
-    let tracer = if trace then Core.Trace.make () else Core.Trace.disabled in
-    (* auto resolves to a concrete method up front so the dispatch
-       below stays a closed enumeration *)
-    let method_, parallel =
-      match method_ with
-      | `Auto ->
-        let d =
-          Query.Planner.choose ~parallelism:parallel
-            ~stats:(Store.Db.collection_stats db)
-            ~index:(Store.Db.index db) ~terms ()
-        in
-        Format.printf "planner: %s@." (Query.Planner.to_string d);
-        let m =
-          match d.Query.Planner.access with
-          | Access.Pattern_exec.Term_join Access.Term_join.Plain -> `Termjoin
-          | Access.Pattern_exec.Term_join Access.Term_join.Enhanced -> `Enhanced
-          | Access.Pattern_exec.Gen_meet _ -> `Genmeet
-          | Access.Pattern_exec.Comp1 -> `Comp1
-          | Access.Pattern_exec.Comp2 -> `Comp2
-        in
-        (m, d.Query.Planner.parallelism)
-      | (`Termjoin | `Enhanced | `Genmeet | `Comp1 | `Comp2) as m ->
-        (m, parallel)
-    in
-    (* the composite baselines have no range-restricted form; they
-       always run sequentially *)
-    let parallel =
-      match method_ with
-      | `Comp1 | `Comp2 ->
-        if parallel > 1 then
-          Format.eprintf "note: %s runs sequentially; --parallel ignored@."
-            (match method_ with `Comp1 -> "comp1" | _ -> "comp2");
-        1
-      | _ -> parallel
-    in
-    let started = Unix.gettimeofday () in
-    let results =
-      or_fault_exit (fun () ->
-          if parallel > 1 then
-            governed_parallel limits (fun shared ->
-                match method_ with
-                | `Termjoin ->
-                  Exec.Par.term_join ~trace:tracer ~shared ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Enhanced ->
-                  Exec.Par.term_join ~trace:tracer ~shared
-                    ~variant:Access.Term_join.Enhanced ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Genmeet ->
-                  Exec.Par.gen_meet ~trace:tracer ~shared ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Comp1 | `Comp2 -> assert false)
-          else
-            governed limits (fun () ->
-                match method_ with
-                | `Termjoin -> Access.Term_join.to_list ~trace:tracer ~mode ctx ~terms
-                | `Enhanced ->
-                  Access.Term_join.to_list ~trace:tracer
-                    ~variant:Access.Term_join.Enhanced ~mode ctx ~terms
-                | `Genmeet -> Access.Gen_meet.to_list ~trace:tracer ~mode ctx ~terms
-                | `Comp1 -> Access.Composite.comp1_list ~trace:tracer ~mode ctx ~terms
-                | `Comp2 -> Access.Composite.comp2_list ~trace:tracer ~mode ctx ~terms))
-    in
-    let elapsed = Unix.gettimeofday () -. started in
-    let ranked = List.sort Access.Scored_node.compare_score_desc results in
+    (* the planner's decision, for --method auto *)
+    Option.iter print_endline r.plan;
     List.iteri
-      (fun i (n : Access.Scored_node.t) ->
-        if i < top then begin
-          let tag =
-            Option.value ~default:"?" (Store.Db.tag_of db ~doc:n.doc ~start:n.start)
-          in
-          Format.printf "%2d. %-14s doc=%d start=%d score=%.3f@." (i + 1) tag
-            n.doc n.start n.score;
-          let snippet = Access.Snippet.of_node ~width:16 ctx ~terms n in
-          if snippet <> "" then Format.printf "     %s@." snippet
-        end)
-      ranked;
-    Format.printf "(%d scored elements in %.1f ms)@." (List.length results)
-      (elapsed *. 1000.);
-    if trace then
-      Option.iter
-        (fun sp -> Format.printf "@.%s@." (Core.Trace.span_to_string sp))
-        (Core.Trace.root tracer)
+      (fun i (row : Service.Engine.row) ->
+        Format.printf "%2d. %-14s doc=%d start=%d score=%.3f@." (i + 1) row.tag
+          row.doc row.start row.score;
+        let snippet = snippet snapshot ~terms row in
+        if snippet <> "" then Format.printf "     %s@." snippet)
+      r.rows;
+    Format.printf "(%d scored elements in %.1f ms)@." r.total (execute_ms r);
+    print_trace r
   in
   let terms_arg =
     Arg.(
@@ -423,7 +253,7 @@ let search_cmd =
   in
   let method_arg =
     Arg.(
-      value & opt method_conv `Termjoin
+      value & opt method_conv Service.Engine.Termjoin
       & info [ "m"; "method" ] ~docv:"METHOD"
           ~doc:
             "Access method: termjoin, enhanced, genmeet, comp1, comp2, or \
@@ -452,41 +282,23 @@ let search_cmd =
 (* phrase *)
 
 let phrase_cmd =
-  let run paths phrase use_comp3 trace parallel skip_bad limits =
-    let db = load_files ~skip_bad paths in
-    let ctx = Access.Ctx.of_db db in
-    let phrase = Ir.Phrase.parse phrase in
-    let tracer = if trace then Core.Trace.make () else Core.Trace.disabled in
-    if use_comp3 && parallel > 1 then
-      Format.eprintf "note: comp3 runs sequentially; --parallel ignored@.";
-    let started = Unix.gettimeofday () in
-    let results =
-      or_fault_exit (fun () ->
-          if parallel > 1 && not use_comp3 then
-            governed_parallel limits (fun shared ->
-                Exec.Par.phrase ~trace:tracer ~shared ~parallelism:parallel
-                  ctx ~phrase)
-          else
-            governed limits (fun () ->
-                if use_comp3 then
-                  Access.Composite.comp3_list ~trace:tracer ctx ~phrase
-                else Access.Phrase_finder.to_list ~trace:tracer ctx ~phrase))
+  let run paths phrase comp3 trace parallel skip_bad limits =
+    let snapshot = snapshot ~skip_bad paths in
+    let r =
+      exec ~limits ~trace ~parallel snapshot
+        (Service.Engine.Phrase { phrase; comp3 })
     in
-    let elapsed = Unix.gettimeofday () -. started in
+    (* the engine ranks by occurrence count; print in document order *)
     List.iter
-      (fun (n : Access.Scored_node.t) ->
-        let tag =
-          Option.value ~default:"?" (Store.Db.tag_of db ~doc:n.doc ~start:n.start)
-        in
-        Format.printf "%-14s doc=%d start=%d occurrences=%.0f@." tag n.doc
-          n.start n.score)
-      results;
-    Format.printf "(%d elements in %.1f ms)@." (List.length results)
-      (elapsed *. 1000.);
-    if trace then
-      Option.iter
-        (fun sp -> Format.printf "@.%s@." (Core.Trace.span_to_string sp))
-        (Core.Trace.root tracer)
+      (fun (row : Service.Engine.row) ->
+        Format.printf "%-14s doc=%d start=%d occurrences=%.0f@." row.tag row.doc
+          row.start row.score)
+      (List.sort
+         (fun (a : Service.Engine.row) b ->
+           compare (a.doc, a.start) (b.doc, b.start))
+         r.rows);
+    Format.printf "(%d elements in %.1f ms)@." r.total (execute_ms r);
+    print_trace r
   in
   let phrase_arg =
     Arg.(
@@ -515,7 +327,7 @@ let phrase_cmd =
 
 let stats_cmd =
   let run paths top skip_bad =
-    let db = load_files ~skip_bad paths in
+    let db = Front.load_files ~skip_bad paths in
     Format.printf "%a@." Store.Db.pp_stats (Store.Db.stats db);
     let terms = Ir.Inverted_index.terms_by_freq (Store.Db.index db) in
     Format.printf "@.top %d terms by collection frequency:@." top;
@@ -568,7 +380,7 @@ let gen_cmd =
 
 let build_cmd =
   let run paths out skip_bad =
-    let db = load_files ~skip_bad paths in
+    let db = Front.load_files ~skip_bad paths in
     Store.Db.save db out;
     let size = (Unix.stat out).Unix.st_size in
     Format.printf "wrote %s (%d bytes): %a@." out size Store.Db.pp_stats
@@ -703,15 +515,6 @@ let client_cmd =
               let terms =
                 String.split_on_char ',' terms |> List.map String.trim
               in
-              let method_ =
-                match method_ with
-                | `Termjoin -> Service.Engine.Termjoin
-                | `Enhanced -> Service.Engine.Enhanced
-                | `Genmeet -> Service.Engine.Genmeet
-                | `Comp1 -> Service.Engine.Comp1
-                | `Comp2 -> Service.Engine.Comp2
-                | `Auto -> Service.Engine.Auto
-              in
               Service.Protocol.Exec
                 {
                   req = Service.Engine.Search { terms; method_; complex; anchor };
@@ -822,7 +625,7 @@ let client_cmd =
   in
   let method_arg =
     Arg.(
-      value & opt method_conv `Termjoin
+      value & opt method_conv Service.Engine.Termjoin
       & info [ "m"; "method" ] ~docv:"METHOD" ~doc:"Search access method.")
   in
   let complex_arg =
@@ -1048,7 +851,7 @@ let shard_cmd =
       Format.eprintf "error: --replicas must be at least 1@.";
       exit 1
     end;
-    let db = load_files ~skip_bad paths in
+    let db = Front.load_files ~skip_bad paths in
     let docs = Store.Catalog.document_count (Store.Db.catalog db) in
     if docs = 0 then begin
       Format.eprintf "error: corpus has no documents@.";

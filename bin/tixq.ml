@@ -8,12 +8,7 @@
 
 open Cmdliner
 
-let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  match Sys.getenv_opt "TIX_LOG" with
-  | Some "debug" -> Logs.set_level (Some Logs.Debug)
-  | Some "info" -> Logs.set_level (Some Logs.Info)
-  | Some _ | None -> Logs.set_level (Some Logs.Warning)
+let () = Front.init_logs ()
 
 let serve manifest host port window connect_timeout request_timeout retries =
   let map =

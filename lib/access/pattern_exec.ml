@@ -234,6 +234,18 @@ let anchors ctx (pat : Core.Pattern.t) ~var =
   end
   | _ -> Array.of_list (matches ctx pat ~var)
 
+let score ?trace ?mode ?weights ?within ?doc_range access ctx ~terms ~emit () =
+  match access, doc_range with
+  | Term_join variant, _ ->
+    Term_join.run ?trace ~variant ?mode ?weights ?doc_range ctx ~terms ~emit ()
+  | Gen_meet { use_skips }, _ ->
+    Gen_meet.run ?trace ?mode ?weights ?within ~use_skips ?doc_range ctx ~terms
+      ~emit ()
+  | Comp1, None -> Composite.comp1 ?trace ?mode ?weights ctx ~terms ~emit ()
+  | Comp2, None -> Composite.comp2 ?trace ?mode ?weights ctx ~terms ~emit ()
+  | (Comp1 | Comp2), Some _ ->
+    invalid_arg "Pattern_exec.score: the composite baselines take no doc_range"
+
 let run ?(trace = Core.Trace.disabled) ?mode ?weights
     ?(access = Term_join Term_join.Plain) ctx (pat : Core.Pattern.t)
     ~struct_var ~terms ~emit () =
@@ -253,18 +265,11 @@ let run ?(trace = Core.Trace.disabled) ?mode ?weights
       emit n
     end
   in
+  (* [within] scopes GenMeet to the anchor subtrees: nothing outside
+     them can qualify, so nothing outside them needs grouping, and the
+     posting cursors skip across the gaps *)
   let (_ : int) =
-    match access with
-    | Term_join variant ->
-      Term_join.run ~trace ~variant ?mode ?weights ctx ~terms ~emit:keep ()
-    | Gen_meet { use_skips } ->
-      (* scope the meet to the anchor subtrees: nothing outside them
-         can qualify, so nothing outside them needs grouping, and the
-         posting cursors skip across the gaps *)
-      Gen_meet.run ~trace ?mode ?weights ~within ~use_skips ctx ~terms
-        ~emit:keep ()
-    | Comp1 -> Composite.comp1 ~trace ?mode ?weights ctx ~terms ~emit:keep ()
-    | Comp2 -> Composite.comp2 ~trace ?mode ?weights ctx ~terms ~emit:keep ()
+    score ~trace ?mode ?weights ~within access ctx ~terms ~emit:keep ()
   in
   !kept
 

@@ -50,6 +50,28 @@ val anchors : Ctx.t -> Core.Pattern.t -> var:int -> Store.Tag_index.item array
     pattern whose root is [var] this is the tag index's own array,
     not a copy: it must not be mutated. *)
 
+val score :
+  ?trace:Core.Trace.t ->
+  ?mode:Counter_scoring.mode ->
+  ?weights:float array ->
+  ?within:Structural_join.item array ->
+  ?doc_range:int * int ->
+  access ->
+  Ctx.t ->
+  terms:string list ->
+  emit:(Scored_node.t -> unit) ->
+  unit ->
+  int
+(** Run the access method over the whole collection: every scored
+    element goes to [emit] in the method's emission order; returns
+    how many did. This is the one place an {!access} value selects
+    its algorithm. [within] (outermost anchor intervals,
+    {!Structural_join.outermost}) scopes GenMeet's grouping and is
+    ignored by the other methods, which score everything. [doc_range]
+    restricts TermJoin and GenMeet to the half-open document interval
+    [(lo, hi)]; the composite baselines have no range-restricted form
+    and raise [Invalid_argument] when given one. *)
+
 val run :
   ?trace:Core.Trace.t ->
   ?mode:Counter_scoring.mode ->

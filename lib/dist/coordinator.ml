@@ -125,6 +125,7 @@ type shard_result = {
   sr_cached : bool;
   sr_steps : int;
   sr_plan : string option;
+  sr_limit : int option;
   sr_trace : Json.t option;
 }
 
@@ -162,6 +163,7 @@ let decode_outcome t (i, result) =
           sr_cached = mem "cached" Json.to_bool_opt ~default:false json;
           sr_steps = mem "steps_used" Json.to_int_opt ~default:0 json;
           sr_plan = Option.bind (Json.member "plan" json) Json.to_string_opt;
+          sr_limit = Option.bind (Json.member "limit" json) Json.to_int_opt;
           sr_trace = Json.member "trace" json;
         }
     end
@@ -233,29 +235,6 @@ let truncate k rows =
   | Some k when k < 0 -> rows
   | Some k -> List.filteri (fun i _ -> i < k) rows
 
-(* The engine plan's global row budget, recovered from its explain
-   text (the "limit: N" line; costed plans append an estimate line
-   after it, so parsing stops at the end of the line). Per-shard
-   executions each apply it locally, so the gathered union can hold
-   up to [shards * N] rows — the coordinator re-applies it to match
-   the single-node answer. *)
-let plan_limit plan =
-  let marker = "limit: " in
-  let mlen = String.length marker in
-  let plen = String.length plan in
-  let rec find i =
-    if i + mlen > plen then None
-    else if String.sub plan i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  Option.bind (find 0) (fun start ->
-      let stop =
-        match String.index_from_opt plan start '\n' with
-        | Some nl -> nl
-        | None -> plen
-      in
-      int_of_string_opt (String.trim (String.sub plan start (stop - start))))
-
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 (* Deterministic gather of per-shard answers into the single-node
@@ -273,14 +252,17 @@ let merge_answers ~k ~ranked_k ~trace ~t0 answered =
   let trees = List.concat_map (fun sr -> sr.sr_trees) answered in
   let plan = List.find_map (fun sr -> sr.sr_plan) answered in
   let steps = sum (fun sr -> sr.sr_steps) answered in
-  (* the plan's own limit bounds both the row list and the reported
-     total: min(L, sum of per-shard totals) equals the single-node
-     total whether or not any shard saturated its local limit *)
-  let limited = Option.bind plan plan_limit in
-  let rows = truncate limited rows in
+  (* The compiled plan's row limit, a response field of every shard.
+     Per-shard executions each apply it locally, so the gathered union
+     can hold up to [shards * L] rows: re-applied here, it bounds both
+     the row list and the reported total — min(L, sum of per-shard
+     totals) equals the single-node total whether or not any shard
+     saturated its local limit. *)
+  let limit = List.find_map (fun sr -> sr.sr_limit) answered in
+  let rows = truncate limit rows in
   let total =
     let s = sum (fun sr -> sr.sr_total) answered in
-    match ranked_k, limited with
+    match ranked_k, limit with
     | Some _, _ -> List.length (truncate ranked_k rows)
     | None, Some l -> min l s
     | None, None -> s
@@ -292,6 +274,7 @@ let merge_answers ~k ~ranked_k ~trace ~t0 answered =
     Engine.rows;
     trees;
     total;
+    limit;
     cached = answered <> [] && List.for_all (fun sr -> sr.sr_cached) answered;
     plan;
     timings = [ ("scatter", elapsed); ("total", elapsed) ];

@@ -108,58 +108,48 @@ let ticker gov =
    coordinator so local and remote partitioning cannot diverge. *)
 let concat_in_order = Core.Merge.concat_in_order
 
-let term_join ?(trace = Core.Trace.disabled) ?shared ?ranges ?variant ?mode
-    ?weights ~parallelism ctx ~terms =
-  let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms in
-  fan_out ~trace ~shared ~parallelism ~method_:"TermJoin" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
+(* Fan a document-ordered node stream out over [ranges]: each chunk
+   runs [run ~trace ~doc_range ~emit] on its own domain, ticks its
+   governor per emitted node and sorts its nodes into document order;
+   the merge concatenates the chunks in order. *)
+let document_ordered ~trace ~shared ~parallelism ~method_ ~ranges run =
+  fan_out ~trace ~shared ~parallelism ~method_ ~ranges
+    ~body:(fun ~gov ~trace doc_range ->
       let acc = ref [] in
       let tick = ticker gov in
-      let _ =
-        Access.Term_join.run ~trace ?variant ?mode ?weights ~doc_range:(lo, hi)
-          ctx ~terms
-          ~emit:(fun nd ->
+      let (_ : int) =
+        run ~trace ~doc_range ~emit:(fun nd ->
             tick ();
             acc := nd :: !acc)
-          ()
       in
       List.sort Access.Scored_node.compare_pos !acc)
     ~merge:concat_in_order
 
-let gen_meet ?(trace = Core.Trace.disabled) ?shared ?ranges ?mode ?weights
-    ~parallelism ctx ~terms =
+let score ?(trace = Core.Trace.disabled) ?shared ?ranges ?mode ?weights
+    ~parallelism access ctx ~terms =
   let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms in
-  fan_out ~trace ~shared ~parallelism ~method_:"GenMeet" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
-      let acc = ref [] in
-      let tick = ticker gov in
-      let _ =
-        Access.Gen_meet.run ~trace ?mode ?weights ~doc_range:(lo, hi) ctx
-          ~terms
-          ~emit:(fun nd ->
-            tick ();
-            acc := nd :: !acc)
-          ()
-      in
-      List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
+  document_ordered ~trace ~shared ~parallelism
+    ~method_:(Access.Pattern_exec.access_operator access) ~ranges
+    (fun ~trace ~doc_range ~emit ->
+      Access.Pattern_exec.score ~trace ?mode ?weights ~doc_range access ctx
+        ~terms ~emit ())
+
+let term_join ?trace ?shared ?ranges ?(variant = Access.Term_join.Plain) ?mode
+    ?weights ~parallelism ctx ~terms =
+  score ?trace ?shared ?ranges ?mode ?weights ~parallelism
+    (Access.Pattern_exec.Term_join variant) ctx ~terms
+
+let gen_meet ?trace ?shared ?ranges ?mode ?weights ~parallelism ctx ~terms =
+  score ?trace ?shared ?ranges ?mode ?weights ~parallelism
+    (Access.Pattern_exec.Gen_meet { use_skips = true })
+    ctx ~terms
 
 let phrase ?(trace = Core.Trace.disabled) ?shared ?ranges ~parallelism ctx
     ~phrase =
   let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms:phrase in
-  fan_out ~trace ~shared ~parallelism ~method_:"PhraseFinder" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
-      let acc = ref [] in
-      let tick = ticker gov in
-      let _ =
-        Access.Phrase_finder.run ~trace ~doc_range:(lo, hi) ctx ~phrase
-          ~emit:(fun nd ->
-            tick ();
-            acc := nd :: !acc)
-          ()
-      in
-      List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
+  document_ordered ~trace ~shared ~parallelism ~method_:"PhraseFinder" ~ranges
+    (fun ~trace ~doc_range ~emit ->
+      Access.Phrase_finder.run ~trace ~doc_range ctx ~phrase ~emit ())
 
 let top_k_docs ?(trace = Core.Trace.disabled) ?shared ?ranges ?weights ?theta
     ~parallelism ctx ~terms ~k =

@@ -17,6 +17,21 @@
     [ranges] is for tests and tooling; production callers let the
     planner choose skip-block-aligned chunks. *)
 
+val score :
+  ?trace:Core.Trace.t ->
+  ?shared:Core.Governor.shared ->
+  ?ranges:(int * int) list ->
+  ?mode:Access.Counter_scoring.mode ->
+  ?weights:float array ->
+  parallelism:int ->
+  Access.Pattern_exec.access ->
+  Access.Ctx.t ->
+  terms:string list ->
+  Access.Scored_node.t list
+(** Parallel {!Access.Pattern_exec.score} for TermJoin and GenMeet;
+    document order. The composite baselines have no range-restricted
+    form: a chunk raises [Invalid_argument] for them. *)
+
 val term_join :
   ?trace:Core.Trace.t ->
   ?shared:Core.Governor.shared ->

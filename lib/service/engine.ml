@@ -118,6 +118,7 @@ type result = {
   rows : row list;
   trees : string list;
   total : int;
+  limit : int option;
   cached : bool;
   plan : string option;
   timings : (string * float) list;
@@ -211,7 +212,7 @@ let canonical_key = function
 
 type caches = {
   plans : (Query.Compile.plan, string) Stdlib.result Lru.t;
-  results : (row list * string list * int * string option) Lru.t;
+  results : result Lru.t;
 }
 
 (* Plan-cache keys fold the snapshot's feedback generation in front of
@@ -349,82 +350,96 @@ let selected_rows snapshot sel =
 
 let op_counter name = Metrics.counter ("op." ^ name)
 
-(* Mirror of the CLI's [governed] wrapper: access methods that are
-   not internally governed still pay for their output cardinality
-   and sample the deadline once. [f] streams and returns how many
-   nodes it emitted; the result is the steps consumed. *)
-let governed limits f =
-  let gov = Core.Governor.start limits in
-  let n = f () in
-  Core.Governor.tick_n gov n;
-  Core.Governor.check_results gov n;
-  Core.Governor.check_deadline gov;
-  Core.Governor.steps gov
+let timed record name f =
+  let t0 = now () in
+  let v = f () in
+  record name (now () -. t0);
+  v
 
-(* The parallel counterpart: one shared budget for every chunk of the
-   query; chunks tick their attached governors as they emit, so the
-   result cardinality is already accounted when the fan-in returns.
-   Returns the merged results alongside the steps. *)
-let governed_parallel limits f =
-  let sh = Core.Governor.make_shared limits in
-  let results = f sh in
-  Core.Governor.shared_check_results sh (List.length results);
-  Core.Governor.shared_check_deadline sh;
-  (results, Core.Governor.shared_steps sh)
-
-(* An [Exec.Par] result list streamed into a selector *)
-let emit_all ~emit (results, steps) =
-  List.iter emit results;
-  steps
+(* Run one segment's access method under a fresh budget of [limits],
+   streaming its output into [emit]; returns the steps consumed. With
+   [par > 1], [partitioned] fans the method out across [par] domains
+   under one shared budget — chunks tick it as they emit — and returns
+   the merged output. Otherwise [sequential] streams into its argument
+   and returns how many items it emitted. Either way, methods that are
+   not internally governed still pay for their output cardinality,
+   and the deadline is sampled once. *)
+let governed limits ~par ~partitioned ~sequential ~emit =
+  if par > 1 then begin
+    let sh = Core.Governor.make_shared limits in
+    let results = partitioned sh in
+    Core.Governor.shared_check_results sh (List.length results);
+    Core.Governor.shared_check_deadline sh;
+    List.iter emit results;
+    Core.Governor.shared_steps sh
+  end
+  else begin
+    let gov = Core.Governor.start limits in
+    let n = sequential emit in
+    Core.Governor.tick_n gov n;
+    Core.Governor.check_results gov n;
+    Core.Governor.check_deadline gov;
+    Core.Governor.steps gov
+  end
 
 let truncate k l =
   match k with
   | Some k when k >= 0 -> List.filteri (fun i _ -> i < k) l
   | Some _ | None -> l
 
-let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
-  let key = canonical_key (Query { q; mode }) in
-  let timings = ref [] in
-  let stage name f =
-    let t0 = now () in
-    let v = f () in
-    let dt = now () -. t0 in
-    timings := (name, dt) :: !timings;
-    Metrics.observe_s (Metrics.histogram ("stage." ^ name)) dt;
-    v
-  in
-  let compile_fresh () =
-    match stage "parse" (fun () -> Query.Parser.parse q) with
+(* A fresh execution's answer; {!exec} adds the stage times and the
+   span tree. *)
+let answer ?plan ?limit ?(trees = []) ~steps ~total rows =
+  {
+    rows;
+    trees;
+    total;
+    limit;
+    cached = false;
+    plan;
+    timings = [];
+    steps_used = steps;
+    trace = None;
+  }
+
+(* Parse, compile and — given a snapshot — cost [q] against its
+   collection statistics, through the plan cache when there is one,
+   under [key] (generation-prefixed by the snapshot, see
+   [plan_cache_key]). The outcome is the parse error, or the compile
+   result: the plan, or the reason the query is not compilable.
+   [record] receives the parse and compile stage times of a miss. *)
+let compiled ?caches ?snapshot ?(record = fun _ _ -> ()) ~key q =
+  let fresh () =
+    match timed record "parse" (fun () -> Query.Parser.parse q) with
     | Error e -> Error (Parse_error (Format.asprintf "%a" Query.Parser.pp_error e))
     | Ok ast ->
       Ok
-        (stage "compile" (fun () ->
-             (* cost the static plan against the collection statistics;
-                the costed plan is what the cache holds, under a
-                generation-prefixed key *)
-             Result.map
-               (fun plan ->
-                 Query.Compile.plan_with_stats ~feedback:snapshot.feedback ~key
-                   snapshot.db plan)
-               (Query.Compile.compile ast)))
+        (timed record "compile" (fun () ->
+             let plan = Query.Compile.compile ast in
+             match snapshot with
+             | None -> plan
+             | Some s ->
+               Result.map
+                 (Query.Compile.plan_with_stats ~feedback:s.feedback ~key s.db)
+                 plan))
   in
-  let cache_key = plan_cache_key snapshot key in
-  let compiled =
-    match caches with
-    | Some c -> begin
-      match Lru.find c.plans cache_key with
-      | Some plan -> Ok plan
-      | None -> begin
-        match compile_fresh () with
-        | Error _ as e -> e
-        | Ok outcome ->
-          Lru.add c.plans cache_key outcome;
-          Ok outcome
-      end
-    end
-    | None -> compile_fresh ()
-  in
-  match compiled with
+  match caches with
+  | None -> fresh ()
+  | Some c -> (
+    let cache_key =
+      match snapshot with Some s -> plan_cache_key s key | None -> key
+    in
+    match Lru.find c.plans cache_key with
+    | Some outcome -> Ok outcome
+    | None ->
+      let outcome = fresh () in
+      Result.iter (Lru.add c.plans cache_key) outcome;
+      outcome)
+
+let exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode =
+  let key = canonical_key (Query { q; mode }) in
+  let stage name f = timed record name f in
+  match compiled ?caches ~snapshot ~record ~key q with
   | Error e -> Error e
   | Ok compiled -> begin
     (* How many times the query reads [document(...)]. The merged
@@ -533,7 +548,9 @@ let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
             let trees =
               List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
             in
-            Ok ([], truncate k trees, None, steps, List.length trees)
+            Ok
+              (answer ~trees:(truncate k trees) ~steps
+                 ~total:(List.length trees) [])
           | exception Query.Eval.Error msg -> Error (Unsupported msg)
         end
       end
@@ -551,11 +568,9 @@ let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
             List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
           in
           Ok
-            ( [],
-              truncate k trees,
-              None,
-              Query.Eval.last_steps evaluator,
-              List.length trees )
+            (answer ~trees:(truncate k trees)
+               ~steps:(Query.Eval.last_steps evaluator)
+               ~total:(List.length trees) [])
         | Error msg -> Error (Unsupported msg))
     in
     (* After a costed plan ran: stamp its row estimate onto the span
@@ -610,25 +625,16 @@ let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
       let total = min limit sel.live in
       note_plan_outcome plan total;
       Ok
-        ( rows,
-          [],
-          Some (Query.Compile.explain plan),
-          Core.Governor.steps gov,
-          total )
+        (answer ~plan:(Query.Compile.explain plan) ?limit:plan.limit
+           ~steps:(Core.Governor.steps gov) ~total rows)
     in
-    let outcome =
-      match compiled, mode with
-      | Ok plan, (`Auto | `Engine) ->
-        Metrics.incr (op_counter "engine_plan");
-        run_plan plan
-      | Error reason, `Engine ->
-        Error (Unsupported (Printf.sprintf "not compilable: %s" reason))
-      | Error _, (`Auto | `Interp) | Ok _, `Interp -> run_interp ()
-    in
-    match outcome with
-    | Ok (rows, trees, plan, steps, total) ->
-      Ok (rows, trees, plan, List.rev !timings, steps, total)
-    | Error e -> Error e
+    match compiled, mode with
+    | Ok plan, (`Auto | `Engine) ->
+      Metrics.incr (op_counter "engine_plan");
+      run_plan plan
+    | Error reason, `Engine ->
+      Error (Unsupported (Printf.sprintf "not compilable: %s" reason))
+    | Error _, (`Auto | `Interp) | Ok _, `Interp -> run_interp ()
   end
 
 (* EXPLAIN without ANALYZE: parse and compile, print the plan the
@@ -638,40 +644,7 @@ let exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode =
    one, only the static rule is shown. *)
 let explain ?caches ?snapshot q =
   let key = canonical_key (Query { q; mode = `Engine }) in
-  let cache_key =
-    match snapshot with Some s -> plan_cache_key s key | None -> key
-  in
-  let compiled =
-    let fresh () =
-      match Query.Parser.parse q with
-      | Error e ->
-        Error (Parse_error (Format.asprintf "%a" Query.Parser.pp_error e))
-      | Ok ast ->
-        Ok
-          (Result.map
-             (fun plan ->
-               match snapshot with
-               | Some s ->
-                 Query.Compile.plan_with_stats ~feedback:s.feedback ~key s.db
-                   plan
-               | None -> plan)
-             (Query.Compile.compile ast))
-    in
-    match caches with
-    | Some c -> begin
-      match Lru.find c.plans cache_key with
-      | Some plan -> Ok plan
-      | None -> begin
-        match fresh () with
-        | Error _ as e -> e
-        | Ok outcome ->
-          Lru.add c.plans cache_key outcome;
-          Ok outcome
-      end
-    end
-    | None -> fresh ()
-  in
-  match compiled with
+  match compiled ?caches ?snapshot ~key q with
   | Error e -> Error e
   | Ok (Ok plan) -> Ok (Query.Compile.explain plan)
   | Ok (Error reason) ->
@@ -679,6 +652,14 @@ let explain ?caches ?snapshot q =
       (Unsupported
          (Printf.sprintf
             "not compilable (would run on the interpreter): %s" reason))
+
+(* The [op.*] counter of a search that runs [access] *)
+let search_counter = function
+  | Access.Pattern_exec.Term_join Access.Term_join.Plain -> "termjoin"
+  | Access.Pattern_exec.Term_join Access.Term_join.Enhanced -> "enhanced"
+  | Access.Pattern_exec.Gen_meet _ -> "genmeet"
+  | Access.Pattern_exec.Comp1 -> "comp1"
+  | Access.Pattern_exec.Comp2 -> "comp2"
 
 let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
     ?parallelism snapshot request =
@@ -704,53 +685,40 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
     (* a traced request must actually execute: bypass the result
        cache in both directions *)
     if trace then None
-    else
-      match caches with
-      | Some c -> Lru.find c.results result_key
-      | None -> None
+    else Option.bind caches (fun c -> Lru.find c.results result_key)
   in
   match cached_result with
-  | Some (rows, trees, total, plan) ->
+  | Some r ->
     Metrics.incr (Metrics.counter "queries.result_cache_hits");
-    (* the plan text rides along in the cache so responses are
-       cache-transparent — distributed coordinators parse the plan's
-       row limit out of shard responses and must see it on hits too *)
-    Ok
-      {
-        rows;
-        trees;
-        total;
-        cached = true;
-        plan;
-        timings = [];
-        steps_used = 0;
-        trace = None;
-      }
+    (* the plan text and the row limit ride along in the cache, so
+       responses are cache-transparent — distributed coordinators
+       read the limit off shard responses and must see it on hits
+       too *)
+    Ok { r with cached = true; timings = []; steps_used = 0; trace = None }
   | None -> begin
-    (* [rows] and [trees] arrive already cut to [k]; [total] is the
-       count before the cut *)
-    let finish ~plan ~timings ~steps ~total rows trees =
+    (* stage latencies, in order, each also into its [stage.*]
+       histogram *)
+    let timings = ref [] in
+    let record name dt =
+      timings := (name, dt) :: !timings;
+      Metrics.observe_s (Metrics.histogram ("stage." ^ name)) dt
+    in
+    (* [r]'s rows and trees arrive already cut to [k]; its [total] is
+       the count before the cut *)
+    let finish r =
       (match caches with
-      | Some c when not trace ->
-        Lru.add c.results result_key (rows, trees, total, plan)
+      | Some c when not trace -> Lru.add c.results result_key r
       | Some _ | None -> ());
       let dt = now () -. t0 in
       Metrics.observe_s (Metrics.histogram "query.total") dt;
-      let timings = timings @ [ ("total", dt) ] in
       let trace_span = Core.Trace.root tracer in
       Option.iter observe_spans trace_span;
       log_slow ~key:result_key ~dt trace_span;
-      Ok
-        {
-          rows;
-          trees;
-          total;
-          cached = false;
-          plan;
-          timings;
-          steps_used = steps;
-          trace = trace_span;
-        }
+      {
+        r with
+        timings = List.rev (("total", dt) :: !timings);
+        trace = trace_span;
+      }
     in
     (* Node-result families (search, phrase): run the access method
        over each segment into one selector *)
@@ -761,12 +729,9 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
     in
     match
       match request with
-      | Query { q; mode } -> begin
-        match exec_query ~caches ~limits ~tracer ~k snapshot ~q ~mode with
-        | Ok (rows, trees, plan, timings, steps, total) ->
-          finish ~plan ~timings ~steps ~total rows trees
-        | Error e -> Error e
-      end
+      | Query { q; mode } ->
+        Result.map finish
+          (exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode)
       | Search { terms; method_; complex; anchor } ->
         if terms = [] || List.exists (fun t -> String.trim t = "") terms then
           Error (Bad_request "search needs at least one non-empty term")
@@ -796,155 +761,111 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
                    ~index:(Store.Db.index snapshot.db) ~terms ())
             | _ -> None
           in
-          let method_, par =
+          (* a search's GenMeet seeks through the postings whichever
+             GenMeet variant the planner priced *)
+          let access, par =
             match decision with
-            | None -> (method_, par)
-            | Some d ->
-              let m =
-                match d.Query.Planner.access with
-                | Access.Pattern_exec.Term_join Access.Term_join.Plain ->
-                  Termjoin
-                | Access.Pattern_exec.Term_join Access.Term_join.Enhanced ->
-                  Enhanced
-                | Access.Pattern_exec.Gen_meet _ -> Genmeet
-                | Access.Pattern_exec.Comp1 -> Comp1
-                | Access.Pattern_exec.Comp2 -> Comp2
-              in
-              (m, d.Query.Planner.parallelism)
+            | Some { access = Access.Pattern_exec.Gen_meet _; parallelism; _ }
+              ->
+              (Access.Pattern_exec.Gen_meet { use_skips = true }, parallelism)
+            | Some d -> (d.access, d.parallelism)
+            | None ->
+              ( (match method_ with
+                | Termjoin ->
+                  Access.Pattern_exec.Term_join Access.Term_join.Plain
+                | Enhanced ->
+                  Access.Pattern_exec.Term_join Access.Term_join.Enhanced
+                | Genmeet -> Access.Pattern_exec.Gen_meet { use_skips = true }
+                | Comp1 -> Access.Pattern_exec.Comp1
+                | Comp2 -> Access.Pattern_exec.Comp2
+                | Auto -> assert false (* resolved above *)),
+                par )
           in
-          Metrics.incr (op_counter (search_method_to_string method_));
-          (match method_ with
-          | (Termjoin | Enhanced | Genmeet) when par > 1 && anchor = None ->
-            Metrics.incr (Metrics.counter "queries.parallel")
-          | _ -> ());
-          let t0 = now () in
-          let access_of_method = function
-            | Termjoin -> Access.Pattern_exec.Term_join Access.Term_join.Plain
-            | Enhanced ->
-              Access.Pattern_exec.Term_join Access.Term_join.Enhanced
-            | Genmeet -> Access.Pattern_exec.Gen_meet { use_skips = true }
-            | Comp1 -> Access.Pattern_exec.Comp1
-            | Comp2 -> Access.Pattern_exec.Comp2
-            | Auto -> assert false (* resolved above *)
+          Metrics.incr (op_counter (search_counter access));
+          (* anchored searches and the composite baselines, which
+             materialize candidate sets, stay sequential *)
+          let par =
+            match anchor, access with
+            | None, (Term_join _ | Gen_meet _) -> par
+            | Some _, _ | None, (Comp1 | Comp2) -> 1
           in
+          if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
           (* Anchored search: the anchors are the tag's tag-index
              array; the method (GenMeet scoped to the disjoint anchor
              subtrees) streams only the scored nodes that are an
-             anchor or lie inside one (a binary search each). This
-             path stays sequential. Each context resolves the tag
-             against its own catalog — a tag only present in the
-             delta still anchors there. *)
-          let run_anchored tag_name ctx ~emit =
-            governed limits (fun () ->
-                match
-                  Store.Catalog.tag_id ctx.Access.Ctx.catalog tag_name
-                with
-                | None -> 0
-                | Some _ ->
-                  let pat =
-                    Core.Pattern.make
-                      (Core.Pattern.pnode
-                         ~pred:(Core.Pattern.Tag tag_name) 0 [])
-                      []
-                  in
-                  Access.Pattern_exec.run ~trace:tracer ~mode
-                    ~access:(access_of_method method_) ctx pat ~struct_var:0
-                    ~terms ~emit ())
-          in
-          let run_unanchored ctx ~emit =
-            match method_ with
-            | (Termjoin | Enhanced | Genmeet) when par > 1 ->
-              emit_all ~emit
-                (governed_parallel limits (fun shared ->
-                     match method_ with
-                     | Termjoin ->
-                       Exec.Par.term_join ~trace:tracer ~shared ~mode
-                         ~parallelism:par ctx ~terms
-                     | Enhanced ->
-                       Exec.Par.term_join ~trace:tracer ~shared
-                         ~variant:Access.Term_join.Enhanced ~mode
-                         ~parallelism:par ctx ~terms
-                     | _ ->
-                       Exec.Par.gen_meet ~trace:tracer ~shared ~mode
-                         ~parallelism:par ctx ~terms))
-            | _ ->
-              (* the composite baselines materialize candidate sets and
-                 stay sequential *)
-              governed limits (fun () ->
-                  match method_ with
-                  | Termjoin ->
-                    Access.Term_join.run ~trace:tracer ~mode ctx ~terms ~emit ()
-                  | Enhanced ->
-                    Access.Term_join.run ~trace:tracer
-                      ~variant:Access.Term_join.Enhanced ~mode ctx ~terms ~emit
-                      ()
-                  | Genmeet ->
-                    Access.Gen_meet.run ~trace:tracer ~mode ctx ~terms ~emit ()
-                  | Comp1 ->
-                    Access.Composite.comp1 ~trace:tracer ~mode ctx ~terms ~emit
-                      ()
-                  | Comp2 ->
-                    Access.Composite.comp2 ~trace:tracer ~mode ctx ~terms ~emit
-                      ()
-                  | Auto -> assert false (* resolved above *))
+             anchor or lie inside one (a binary search each). Each
+             context resolves the tag against its own catalog — a tag
+             only present in the delta still anchors there. *)
+          let sequential ctx emit =
+            match anchor with
+            | None ->
+              Access.Pattern_exec.score ~trace:tracer ~mode access ctx ~terms
+                ~emit ()
+            | Some tag_name -> (
+              match Store.Catalog.tag_id ctx.Access.Ctx.catalog tag_name with
+              | None -> 0
+              | Some _ ->
+                let pat =
+                  Core.Pattern.make
+                    (Core.Pattern.pnode ~pred:(Core.Pattern.Tag tag_name) 0 [])
+                    []
+                in
+                Access.Pattern_exec.run ~trace:tracer ~mode ~access ctx pat
+                  ~struct_var:0 ~terms ~emit ())
           in
           let rows, total, steps =
-            select_nodes (fun _ ctx ~emit ->
-                match anchor with
-                | Some tag_name -> run_anchored tag_name ctx ~emit
-                | None -> run_unanchored ctx ~emit)
+            timed record "execute" (fun () ->
+                select_nodes (fun _ ctx ~emit ->
+                    governed limits ~par ~emit ~sequential:(sequential ctx)
+                      ~partitioned:(fun shared ->
+                        Exec.Par.score ~trace:tracer ~shared ~mode
+                          ~parallelism:par access ctx ~terms)))
           in
-          (match decision with
-          | None -> ()
-          | Some d ->
-            Ir.Stats.Feedback.observe snapshot.feedback
-              ~key:(canonical_key request)
-              ~est:(float_of_int d.Query.Planner.est_rows)
-              ~actual:(float_of_int total);
-            (match Core.Trace.root tracer with
-            | Some sp ->
-              Core.Trace.apply_estimates sp
-                [
-                  ( Access.Pattern_exec.access_operator d.Query.Planner.access,
-                    d.Query.Planner.est_rows );
-                ]
-            | None -> ()));
-          let dt = now () -. t0 in
-          Metrics.observe_s (Metrics.histogram "stage.execute") dt;
+          Option.iter
+            (fun (d : Query.Planner.decision) ->
+              Ir.Stats.Feedback.observe snapshot.feedback
+                ~key:(canonical_key request)
+                ~est:(float_of_int d.est_rows)
+                ~actual:(float_of_int total);
+              Option.iter
+                (fun sp ->
+                  Core.Trace.apply_estimates sp
+                    [
+                      (Access.Pattern_exec.access_operator d.access, d.est_rows);
+                    ])
+                (Core.Trace.root tracer))
+            decision;
           let plan =
             Option.map
               (fun d -> "planner: " ^ Query.Planner.to_string d)
               decision
           in
-          finish ~plan ~timings:[ ("execute", dt) ] ~steps ~total rows []
+          Ok (finish (answer ?plan ~steps ~total rows))
         end
       | Phrase { phrase; comp3 } -> begin
         match Ir.Phrase.parse phrase with
         | [] -> Error (Bad_request "empty phrase")
         | words ->
           Metrics.incr (op_counter (if comp3 then "comp3" else "phrase_finder"));
-          if (not comp3) && par > 1 then
-            Metrics.incr (Metrics.counter "queries.parallel");
-          let t0 = now () in
-          let run _ ctx ~emit =
-            if (not comp3) && par > 1 then
-              emit_all ~emit
-                (governed_parallel limits (fun shared ->
-                     Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par ctx
-                       ~phrase:words))
-            else
-              governed limits (fun () ->
-                  if comp3 then
-                    Access.Composite.comp3 ~trace:tracer ctx ~phrase:words ~emit
-                      ()
-                  else
-                    Access.Phrase_finder.run ~trace:tracer ctx ~phrase:words
-                      ~emit ())
+          (* comp3 has no range-restricted form *)
+          let par = if comp3 then 1 else par in
+          if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
+          let rows, total, steps =
+            timed record "execute" (fun () ->
+                select_nodes (fun _ ctx ~emit ->
+                    governed limits ~par ~emit
+                      ~partitioned:(fun shared ->
+                        Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par
+                          ctx ~phrase:words)
+                      ~sequential:(fun emit ->
+                        if comp3 then
+                          Access.Composite.comp3 ~trace:tracer ctx ~phrase:words
+                            ~emit ()
+                        else
+                          Access.Phrase_finder.run ~trace:tracer ctx
+                            ~phrase:words ~emit ())))
           in
-          let rows, total, steps = select_nodes run in
-          let dt = now () -. t0 in
-          Metrics.observe_s (Metrics.histogram "stage.execute") dt;
-          finish ~plan:None ~timings:[ ("execute", dt) ] ~steps ~total rows []
+          Ok (finish (answer ~steps ~total rows))
       end
       | Ranked { terms } ->
         if terms = [] || List.exists (fun t -> String.trim t = "") terms then
@@ -966,16 +887,47 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           in
           let par = decision.Query.Planner.parallelism in
           if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
-          let t0 = now () in
-          let run ctx ~k =
-            if par > 1 then
-              governed_parallel limits (fun shared ->
-                  Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
-                    ~parallelism:par ctx ~terms ~k)
-            else begin
-              let docs = ref [] in
-              let steps =
-                governed limits (fun () ->
+          (* One top-k run per segment, each document id mapped into
+             the merged dense id space ([None]: tombstoned). The base
+             run is widened by the tombstone count: every live
+             document of the true merged top-K is then guaranteed to
+             be among the surviving base candidates. *)
+          let segments =
+            match snapshot.delta with
+            | None -> [ (snapshot.db, snapshot.ctx, kk, Option.some) ]
+            | Some dv ->
+              ( snapshot.db,
+                snapshot.ctx,
+                kk + dv.n_tomb,
+                fun doc ->
+                  if is_tombstoned dv doc then None else Some dv.dense.(doc) )
+              :: Option.fold ~none:[]
+                   ~some:(fun (ddb, dctx) ->
+                     [ (ddb, dctx, kk, fun doc -> Some (dv.n_live + doc)) ])
+                   dv.delta_db
+          in
+          let run_segment (rows, steps) (db, ctx, k, merged_id) =
+            let catalog = Store.Db.catalog db in
+            let row (doc, score) =
+              Option.map
+                (fun merged ->
+                  let tag =
+                    if doc >= 0 && doc < Store.Catalog.document_count catalog
+                    then Store.Catalog.document_name catalog doc
+                    else "?"
+                  in
+                  { tag; doc = merged; start = -1; score })
+                (merged_id doc)
+            in
+            let rows = ref rows in
+            let emit d = Option.iter (fun r -> rows := r :: !rows) (row d) in
+            let steps =
+              steps
+              + governed limits ~par ~emit
+                  ~partitioned:(fun shared ->
+                    Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
+                      ~parallelism:par ctx ~terms ~k)
+                  ~sequential:(fun emit ->
                     (* a θ hint seeds the same shared threshold the
                        parallel chunks use; pruning against it is exact
                        under the monotone-θ invariant (Core.Merge) *)
@@ -984,61 +936,20 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
                         (fun seed -> Core.Merge.Theta.make ~seed ())
                         theta
                     in
-                    docs :=
+                    let docs =
                       Access.Ranked.top_k_docs ~trace:tracer ?shared_threshold
-                        ctx ~terms ~k;
-                    List.length !docs)
-              in
-              (!docs, steps)
-            end
-          in
-          let doc_row catalog remap (doc, score) =
-            let tag =
-              if doc >= 0 && doc < Store.Catalog.document_count catalog then
-                Store.Catalog.document_name catalog doc
-              else "?"
+                        ctx ~terms ~k
+                    in
+                    List.iter emit docs;
+                    List.length docs)
             in
-            { tag; doc = remap doc; start = -1; score }
+            (!rows, steps)
           in
           let rows, steps =
-            match snapshot.delta with
-            | None ->
-              let docs, steps = run snapshot.ctx ~k:kk in
-              ( List.map (doc_row (Store.Db.catalog snapshot.db) Fun.id) docs,
-                steps )
-            | Some dv ->
-              (* widen the base run by the tombstone count: every live
-                 document of the true merged top-K is then guaranteed
-                 to be among the surviving base candidates *)
-              let base_docs, base_steps =
-                run snapshot.ctx ~k:(kk + dv.n_tomb)
-              in
-              let base_rows =
-                List.filter_map
-                  (fun (doc, score) ->
-                    if is_tombstoned dv doc then None
-                    else
-                      Some
-                        (doc_row
-                           (Store.Db.catalog snapshot.db)
-                           (fun d -> dv.dense.(d))
-                           (doc, score)))
-                  base_docs
-              in
-              let delta_rows, delta_steps =
-                match dv.delta_db with
-                | None -> ([], 0)
-                | Some (ddb, dctx) ->
-                  let docs, steps = run dctx ~k:kk in
-                  ( List.map
-                      (doc_row (Store.Db.catalog ddb) (fun d -> dv.n_live + d))
-                      docs,
-                    steps )
-              in
-              ( truncate (Some kk)
-                  (List.sort compare_row (base_rows @ delta_rows)),
-                base_steps + delta_steps )
+            timed record "execute" (fun () ->
+                List.fold_left run_segment ([], 0) segments)
           in
+          let rows = truncate (Some kk) (List.sort compare_row rows) in
           (* a full top-K is a lower bound on the operator's true
              cardinality, not a measurement: only unsaturated runs
              feed the correction table *)
@@ -1047,12 +958,11 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
               ~key:(canonical_key request)
               ~est:(float_of_int decision.Query.Planner.est_rows)
               ~actual:(float_of_int (List.length rows));
-          let dt = now () -. t0 in
-          Metrics.observe_s (Metrics.histogram "stage.execute") dt;
-          finish
-            ~plan:(Some ("planner: " ^ Query.Planner.to_string decision))
-            ~timings:[ ("execute", dt) ] ~steps ~total:(List.length rows)
-            (truncate k rows) []
+          Ok
+            (finish
+               (answer
+                  ~plan:("planner: " ^ Query.Planner.to_string decision)
+                  ~steps ~total:(List.length rows) (truncate k rows)))
         end
     with
     | outcome -> outcome

@@ -5,8 +5,10 @@
     which the whole read path — element pages, parent/tag indexes,
     frozen postings — is immutable shared state that any number of
     domains may evaluate queries against concurrently. Every worker
-    of {!Scheduler} executes through {!exec}; the CLI reuses the same
-    entry point so one query has one semantics everywhere. *)
+    of {!Scheduler} executes through {!exec}, and so do [tixdb query],
+    [search] and [phrase] in every output format ([--explain] alone
+    goes through {!explain}): one request has one execution path and
+    one semantics everywhere. *)
 
 type delta_view = {
   delta_db : (Store.Db.t * Access.Ctx.t) option;
@@ -122,6 +124,11 @@ type result = {
   trees : string list;
       (** rendered XML results of the interpreter path (rows empty) *)
   total : int;  (** result count before [k]-truncation *)
+  limit : int option;
+      (** the compiled plan's [stop after] row limit; [None] for every
+          other request. Travels on the wire as ["limit"], so a
+          distributed coordinator can re-apply it to the gathered
+          shard rows *)
   cached : bool;
   plan : string option;  (** explain output of the compiled plan *)
   timings : (string * float) list;  (** stage -> seconds, in order *)
@@ -157,7 +164,9 @@ type caches = {
       (** keyed by {!plan_cache_key}; [Error reason] caches the
           negative compile so the fallback decision is also cached.
           Cached plans are costed ({!Query.Compile.plan_with_stats}) *)
-  results : (row list * string list * int * string option) Lru.t;
+  results : result Lru.t;
+      (** finished results; a hit is served with [cached = true], no
+          timings, no steps and no trace *)
 }
 
 val plan_cache_key : snapshot -> string -> string
@@ -191,8 +200,8 @@ val exec :
     Hinted results are cached under a θ-qualified key, never shared
     with unhinted runs. Other request shapes ignore the option.
 
-    [parallelism] > 1 runs eligible requests — {!Search} with the
-    termjoin/enhanced/genmeet methods, non-comp3 {!Phrase}, and
+    [parallelism] > 1 runs eligible requests — unanchored {!Search}
+    with the termjoin/enhanced/genmeet methods, non-comp3 {!Phrase}, and
     {!Ranked} — through the intra-query parallel executor
     ({!Exec.Par}): the posting lists are partitioned into
     skip-block-aligned document ranges fanned out across up to that
@@ -219,8 +228,8 @@ val explain :
     the interpreter). With [snapshot], the plan is costed against the
     collection statistics and the printout includes the chosen access
     method, its row estimate and the alternative cost table; the plan
-    cache (when given) is keyed exactly as {!exec} keys it, so an
-    explained plan is the plan the next execution runs. *)
+    cache (when given) is keyed as {!exec} keys a [`Engine]-mode
+    {!Query}, so an explained plan is the plan that execution runs. *)
 
 val set_slow_query_threshold : float option -> unit
 (** Requests slower than this many seconds are counted

@@ -301,6 +301,9 @@ let result_to_json ?(include_timings = true) ?(extra = []) (r : Engine.result) =
     [
       ("ok", Json.Bool true);
       ("total", Json.Int r.total);
+    ]
+    @ (match r.limit with Some l -> [ ("limit", Json.Int l) ] | None -> [])
+    @ [
       ("cached", Json.Bool r.cached);
       ("steps_used", Json.Int r.steps_used);
       ("results", rows_to_json r.rows);

@@ -52,7 +52,11 @@ wait_port() { # logfile pid
 
 echo "== corpus + shard images (2 shards x 2 replicas)"
 "$TIXDB" gen -n 30 -o "$WORK/corpus" >/dev/null
-"$TIXDB" shard "$WORK"/corpus/*.xml --shards 2 --replicas 2 \
+# a document whose name reads like a plan line: its "document glob:
+# limit: 2" plan line must not be taken for the plan's row limit
+LIMIT_DOC="$WORK/corpus/limit: 2"
+cp "$WORK/corpus/article-0.xml" "$LIMIT_DOC"
+"$TIXDB" shard "$WORK"/corpus/*.xml "$LIMIT_DOC" --shards 2 --replicas 2 \
   -o "$WORK/shards" >/dev/null
 [ -f "$WORK/shards/manifest.json" ] || fail "no manifest written"
 [ -f "$WORK/shards/shard-0.tix" ] || fail "no shard image written"
@@ -104,7 +108,8 @@ echo "== boot coordinator + single-node oracle"
 COORD_PID=$!
 PIDS+=("$COORD_PID")
 COORD_PORT=$(wait_port "$WORK/tixq.log" "$COORD_PID")
-"$TIXD" "$WORK"/corpus/*.xml --port 0 --workers 1 >"$WORK/oracle.log" 2>&1 &
+"$TIXD" "$WORK"/corpus/*.xml "$LIMIT_DOC" --port 0 --workers 1 \
+  >"$WORK/oracle.log" 2>&1 &
 ORACLE_PID=$!
 PIDS+=("$ORACLE_PID")
 ORACLE_PORT=$(wait_port "$WORK/oracle.log" "$ORACLE_PID")
@@ -124,6 +129,16 @@ score $a using ScoreFoo($a, {"'"$TERM_PROBE"'"}, {})
 return <r>{$a}</r>
 sortby(score)
 threshold $a/@score > 0 stop after 5'
+
+LIMIT_QUERY='for $a in document("limit: 2")//article/descendant-or-self::*
+score $a using ScoreFoo($a, {"'"$TERM_PROBE"'"}, {})
+return <r>{$a}</r>
+sortby(score)
+threshold $a/@score > 0 stop after 5'
+
+query_request() { # query k
+  python3 -c 'import json,sys; print(json.dumps({"op":"query","q":sys.argv[1],"k":int(sys.argv[2])}))' "$1" "$2"
+}
 
 REQUESTS=(
   '{"op":"ranked","terms":["'"$TERM_PROBE"'"],"k":5}'
@@ -146,11 +161,15 @@ compare_families() { # label
     oracle --raw "$req" >> "$WORK/compare_oracle.ndjson" || fail "$label: oracle request $i"
     i=$((i + 1))
   done
-  # the query family goes through the client's query flag (quoting)
-  coord --raw "$(python3 -c 'import json,sys; print(json.dumps({"op":"query","q":sys.argv[1],"k":5}))' "$QUERY")" \
+  # query requests are built with python (JSON quoting)
+  coord --raw "$(query_request "$QUERY" 5)" \
     >> "$WORK/compare_coord.ndjson" || fail "$label: coordinator query"
-  oracle --raw "$(python3 -c 'import json,sys; print(json.dumps({"op":"query","q":sys.argv[1],"k":5}))' "$QUERY")" \
+  oracle --raw "$(query_request "$QUERY" 5)" \
     >> "$WORK/compare_oracle.ndjson" || fail "$label: oracle query"
+  coord --raw "$(query_request "$LIMIT_QUERY" 10)" \
+    >> "$WORK/compare_coord.ndjson" || fail "$label: coordinator limit query"
+  oracle --raw "$(query_request "$LIMIT_QUERY" 10)" \
+    >> "$WORK/compare_oracle.ndjson" || fail "$label: oracle limit query"
   python3 - "$WORK" "$label" <<'PY' || fail "$label: coordinator diverged from single node"
 import json, sys, os
 work, label = sys.argv[1], sys.argv[2]
@@ -169,6 +188,9 @@ for i, (c, o) in enumerate(zip(coord, oracle)):
     assert o.get("ok") is True, "%s: oracle refused request %d: %r" % (label, i, o)
     assert "degraded" not in c, "%s: request %d flagged degraded" % (label, i)
     assert c == o, "%s: request %d diverged:\n  coord:  %r\n  oracle: %r" % (label, i, c, o)
+# the last request is the "limit: 2" document's stop-after-5 query
+assert oracle[-1].get("limit") == 5 and oracle[-1]["total"] == 5, \
+    "%s: limit query answered %r" % (label, oracle[-1])
 print("   %s: %d requests byte-identical" % (label, len(coord)))
 PY
 }

@@ -56,8 +56,7 @@ type cluster = {
   schedulers : Service.Scheduler.t array;
 }
 
-let start_cluster ?(replicas = 1) n =
-  let db = Lazy.force full_db in
+let start_cluster ?(replicas = 1) ?(db = Lazy.force full_db) n =
   let docs = Store.Catalog.document_count (Store.Db.catalog db) in
   let ranges = Dist.Shard_map.ranges ~docs ~shards:n in
   let parts =
@@ -98,12 +97,12 @@ let stop_cluster c =
   Array.iter (Array.iter Service.Server.stop) c.servers;
   Array.iter Service.Scheduler.shutdown c.schedulers
 
-let with_cluster ?replicas n f =
-  let c = start_cluster ?replicas n in
+let with_cluster ?replicas ?db n f =
+  let c = start_cluster ?replicas ?db n in
   Fun.protect ~finally:(fun () -> stop_cluster c) (fun () -> f c)
 
-let with_single f =
-  let snap = snapshot_exn ~source:"single" (Lazy.force full_db) in
+let with_single ?(db = Lazy.force full_db) f =
+  let snap = snapshot_exn ~source:"single" db in
   let scheduler = Service.Scheduler.create ~workers:1 snap in
   Fun.protect
     ~finally:(fun () -> Service.Scheduler.shutdown scheduler)
@@ -345,6 +344,52 @@ let test_ranked_window_relay () =
               Dist.Client.close (Dist.Coordinator.client coord))
             [ 1; 2; 3 ]))
 
+(* The plan's row limit reaches the coordinator as the response's
+   "limit" field. A document named "limit: 2" puts that text into the
+   plan's "document glob:" line, ahead of the plan's own "limit: 5"
+   line, so a coordinator that read the limit out of the plan text
+   would cut the merged answer to 2 rows. *)
+let test_limit_field () =
+  let article =
+    {|<article><title>alpha beta</title><sec><p>alpha alpha</p><p>alpha gamma</p><p>beta alpha</p></sec><sec><p>alpha</p><p>alpha delta</p></sec></article>|}
+  in
+  let db =
+    Store.Db.of_documents
+      (List.map
+         (fun name -> (name, Xmlkit.Parser.parse_string_exn article))
+         [ "a.xml"; "b.xml"; "limit: 2"; "d.xml" ])
+  in
+  let q =
+    {|for $a in document("limit: 2")//article/descendant-or-self::*
+      score $a using ScoreFoo($a, {"alpha"}, {})
+      return <r>{$a}</r>
+      sortby(score)
+      threshold $a/@score > 0 stop after 5|}
+  in
+  let req = parse_exn (Printf.sprintf {|{"op":"query","q":%s,"k":10}|} (quote q)) in
+  let rows json =
+    match Json.member "results" json with
+    | Some (Json.List rows) -> List.length rows
+    | _ -> -1
+  in
+  with_single ~db (fun single ->
+      let oracle = single req in
+      check int_ "single node: 5 rows" 5 (rows oracle);
+      check bool_ "single node: limit field" true
+        (Json.member "limit" oracle = Some (Json.Int 5));
+      with_cluster ~db 2 (fun c ->
+          let coord = Dist.Coordinator.create ~source:"test" c.map in
+          List.iter
+            (fun what ->
+              let merged = Dist.Coordinator.handle coord req in
+              check string_ what
+                (Json.to_string (strip oracle))
+                (Json.to_string (strip merged));
+              check bool_ (what ^ ": limit field") true
+                (Json.member "limit" merged = Some (Json.Int 5)))
+            [ "2 shards"; "2 shards, cached" ];
+          Dist.Client.close (Dist.Coordinator.client coord)))
+
 (* ------------------------------------------------------------------ *)
 (* Failure handling *)
 
@@ -582,6 +627,7 @@ let () =
           tc "matches single node (2 and 4 shards)" `Quick
             test_matches_single_node;
           tc "ranked theta windows" `Quick test_ranked_window_relay;
+          tc "row limit is a field, not plan text" `Quick test_limit_field;
           tc "trace grafting" `Quick test_trace_grafting;
           tc "health, stats, prepare" `Quick test_health_stats_prepare;
         ] );
