@@ -136,11 +136,14 @@ let flush_shared t sh =
     trip_shared sh v
   | Some _ | None -> ()
 
-let check_deadline t =
-  (match t.shared with Some sh -> flush_shared t sh | None -> ());
+let past_deadline t =
   if t.deadline < infinity && now () > t.deadline then
     exhaust t Timeout
       (Printf.sprintf "deadline of %g s" (t.deadline -. t.started))
+
+let check_deadline t =
+  (match t.shared with Some sh -> flush_shared t sh | None -> ());
+  past_deadline t
 
 let check_steps t =
   match t.shared with
@@ -186,13 +189,12 @@ let check_results t n =
       (Printf.sprintf "result cap of %d (got %d)" m n)
   | Some _ | None -> ()
 
-let shared_check_results sh n =
+(* The shared checks run on a governor that holds the shared step
+   total, so a violation reports the steps the whole query took. *)
+let settled sh =
   reraise_if_tripped sh;
-  check_results (attach sh) n
+  let total = Atomic.get sh.sh_steps in
+  { (attach sh) with steps = total; flushed = total }
 
-let shared_check_deadline sh =
-  reraise_if_tripped sh;
-  let t = attach sh in
-  if t.deadline < infinity && now () > t.deadline then
-    exhaust t Timeout
-      (Printf.sprintf "deadline of %g s" (t.deadline -. t.started))
+let shared_check_results sh n = check_results (settled sh) n
+let shared_check_deadline sh = past_deadline (settled sh)

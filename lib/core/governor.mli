@@ -59,9 +59,10 @@ val steps : t -> int
 
 (** {1 Shared budgets}
 
-    A parallel query runs one chunk per domain, each under its own
-    {!t}, but the user's [--max-steps]/[--timeout] bound the {e whole}
-    query. A {!shared} budget holds the limits, one atomic step
+    A parallel query runs one chunk per domain, and a query over a
+    pending delta one run per segment, each under its own {!t}, but
+    the user's [--max-steps]/[--timeout] bound the {e whole} query. A
+    {!shared} budget holds the limits, one atomic step
     counter and one absolute deadline; each domain {!attach}es a
     private governor whose ticks stay domain-local and are flushed
     into the shared counter at the same 128-step cadence as the clock
@@ -91,7 +92,9 @@ val shared_violation : shared -> violation option
 
 val shared_check_results : shared -> int -> unit
 (** {!check_results} against the shared limits (re-raising the tripping
-    violation if the budget is already blown). *)
+    violation if the budget is already blown). A violation reports
+    the {!shared_steps} total. *)
 
 val shared_check_deadline : shared -> unit
-(** Sample the clock against the shared deadline now. *)
+(** Sample the clock against the shared deadline now; a violation
+    reports the {!shared_steps} total. *)

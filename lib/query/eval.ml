@@ -6,8 +6,6 @@ type t = {
   doc_trees : (int, Core.Stree.t) Hashtbl.t;
   limits : Core.Governor.limits;
   trace : Core.Trace.t;
-  exclude_docs : int -> bool;
-  lenient_docs : bool;
   mutable governor : Core.Governor.t option;
       (** live only while a query runs: each {!run} starts a fresh
           governor from [limits], so budgets are per query and an
@@ -17,8 +15,7 @@ type t = {
 }
 
 let create ?functions ?(limits = Core.Governor.unlimited)
-    ?(trace = Core.Trace.disabled) ?(exclude_docs = fun _ -> false)
-    ?(lenient_docs = false) db =
+    ?(trace = Core.Trace.disabled) db =
   let fns = match functions with Some f -> f | None -> Functions.builtins () in
   {
     db;
@@ -26,8 +23,6 @@ let create ?functions ?(limits = Core.Governor.unlimited)
     doc_trees = Hashtbl.create 8;
     limits;
     trace;
-    exclude_docs;
-    lenient_docs;
     governor = None;
     last_steps = 0;
   }
@@ -69,9 +64,7 @@ let documents_matching t pattern =
     else begin
       let name = Store.Catalog.document_name catalog doc in
       let acc =
-        if (not (t.exclude_docs doc)) && Glob.matches pattern name then
-          doc :: acc
-        else acc
+        if Glob.matches pattern name then doc :: acc else acc
       in
       collect (doc + 1) acc
     end
@@ -146,12 +139,7 @@ let rec eval_expr t (env : env) (expr : Ast.expr) : Functions.value =
   match expr with
   | Ast.Document pattern -> begin
     match documents_matching t pattern with
-    | [] ->
-      (* A lenient evaluator treats a matchless glob as an empty
-         sequence: one half of a base/delta pair may legitimately
-         hold none of the matching documents. *)
-      if t.lenient_docs then Functions.Nodes []
-      else fail "document(%S): no loaded document matches" pattern
+    | [] -> fail "document(%S): no loaded document matches" pattern
     | docs ->
       (* wrap each root in a document node, as in XPath, so that
          //root-tag matches the root element itself *)
@@ -508,11 +496,7 @@ let sort_results field results =
   in
   List.stable_sort (fun a b -> compare (key b) (key a)) results
 
-(* The clause pipeline up to construction: every binding that survives
-   the threshold filter, as a constructed element, in binding order
-   (document order per For). Sortby and stop-after are deferred to
-   {!finalize} so two evaluators' streams can be merged first. *)
-let raw_ungoverned t (q : Ast.t) =
+let run_ungoverned t (q : Ast.t) =
   let envs = List.fold_left (eval_clause t) [ [] ] q.clauses in
   (* threshold filters bindings before construction *)
   let envs =
@@ -526,9 +510,7 @@ let raw_ungoverned t (q : Ast.t) =
         envs
     | None -> envs
   in
-  List.map (fun env -> build_constructor t env q.returns) envs
-
-let finalize (q : Ast.t) results =
+  let results = List.map (fun env -> build_constructor t env q.returns) envs in
   let results =
     match q.sortby with
     | Some field -> sort_results field results
@@ -539,12 +521,12 @@ let finalize (q : Ast.t) results =
     List.filteri (fun i _ -> i < k) results
   | Some { stop_after = None; _ } | None -> results
 
-let run_ungoverned t (q : Ast.t) = finalize q (raw_ungoverned t q)
-
-let governed t (q : Ast.t) eval =
+let run ?governor t (q : Ast.t) =
   (* A fresh governor per query: exhaustion aborts this run only and
      leaves the evaluator (and its database) usable afterwards. *)
-  let gov = Core.Governor.start t.limits in
+  let gov =
+    match governor with Some g -> g | None -> Core.Governor.start t.limits
+  in
   t.governor <- Some gov;
   Fun.protect
     ~finally:(fun () ->
@@ -552,7 +534,7 @@ let governed t (q : Ast.t) eval =
       t.governor <- None)
     (fun () ->
       Core.Trace.enter ~governor:gov t.trace "Eval";
-      match eval t q with
+      match run_ungoverned t q with
       | results ->
         (* the clock is sampled sparsely during evaluation; settle the
            deadline before handing results back *)
@@ -563,9 +545,6 @@ let governed t (q : Ast.t) eval =
       | exception e ->
         Core.Trace.unwind t.trace;
         raise e)
-
-let run t (q : Ast.t) = governed t q run_ungoverned
-let run_raw t (q : Ast.t) = governed t q raw_ungoverned
 
 let run_string t src =
   match Parser.parse src with

@@ -16,47 +16,28 @@ val create :
   ?functions:Functions.t ->
   ?limits:Core.Governor.limits ->
   ?trace:Core.Trace.t ->
-  ?exclude_docs:(int -> bool) ->
-  ?lenient_docs:bool ->
   Store.Db.t ->
   t
-(** [exclude_docs] hides documents from [document(...)] resolution —
-    the delta overlay uses it to mask tombstoned base documents
-    without touching the store. [lenient_docs] (default [false])
-    makes a [document(...)] glob matching nothing evaluate to the
-    empty sequence instead of raising {!Error} — required when the
-    evaluator covers only one half of a base/delta pair, since the
-    matching documents may all live in the other half.
-    [functions] defaults to
-    {!Functions.builtins}; [limits] (default
+(** [functions] defaults to {!Functions.builtins}; [limits] (default
     {!Core.Governor.unlimited}) governs every subsequent {!run}: a
     fresh {!Core.Governor.t} is started per query, charging a step
     per evaluated expression / navigated node and gating intermediate
     binding cardinality. With [trace], each {!run} records an ["Eval"]
     root span with one child span per clause (For/Let/Where/Score/
     Pick) carrying the binding-stream cardinalities and governor
-    steps. *)
+    steps. An evaluator reads exactly one database: to query base ∪
+    delta, evaluate the merged database {!Store.Db.compact} builds. *)
 
 val functions : t -> Functions.t
 
-val run : t -> Ast.t -> Xmlkit.Tree.element list
+val run : ?governor:Core.Governor.t -> t -> Ast.t -> Xmlkit.Tree.element list
 (** Evaluate a parsed query; results in ranked order when the query
-    has a [Sortby]. Raises {!Error}, or
-    {!Core.Governor.Resource_exhausted} when the evaluator's limits
-    are breached (the evaluator stays usable afterwards). *)
-
-val run_raw : t -> Ast.t -> Xmlkit.Tree.element list
-(** Like {!run} but stops before the order-sensitive tail: every
-    binding surviving the threshold filter is constructed, in binding
-    order (document order per [For] clause), with no [Sortby] and no
-    [stop after] applied. The merged base∪delta evaluation runs the
-    two halves raw, concatenates base-then-delta — the rebuilt
-    database's document order — and applies {!finalize} once. *)
-
-val finalize : Ast.t -> Xmlkit.Tree.element list -> Xmlkit.Tree.element list
-(** The deferred tail of {!run_raw}: the query's [Sortby] (a stable
-    sort, so document order breaks ties) followed by its
-    [stop after] truncation. [run q = finalize q (run_raw q)]. *)
+    has a [Sortby]. [governor] governs the run in place of a fresh one
+    started from the evaluator's limits: a caller whose request clock
+    started earlier passes its own. Raises {!Error},
+    {!Core.Governor.Resource_exhausted} when the limits are breached
+    (the evaluator stays usable afterwards), or
+    {!Store.Pager.Read_error} on a storage fault. *)
 
 val run_string : t -> string -> (Xmlkit.Tree.element list, string) result
 (** Parse and evaluate; governor breaches and storage faults come

@@ -5,6 +5,7 @@ type delta_view = {
   n_live : int;
   n_tomb : int;
   delta_docs : int;
+  rebuild : Mutex.t * Store.Db.t option Atomic.t;
 }
 
 type snapshot = {
@@ -63,6 +64,7 @@ let with_delta snapshot d =
             n_live = !n_live;
             n_tomb = Store.Delta.tombstone_count d;
             delta_docs = Store.Delta.doc_count d;
+            rebuild = (Mutex.create (), Atomic.make None);
           };
     }
   end
@@ -270,16 +272,16 @@ let compare_row a b =
 (* Node-result selection
 
    Every node-result family — search by any method, anchored search,
-   phrase, comp3 and compiled queries — streams its scored nodes into
-   one selector per request, segment after segment (the base, then
-   the delta). The selector drops nodes of tombstoned base documents,
-   remaps ids into the merged dense id space (live base documents
-   keep their relative order, delta documents follow), counts the
-   survivors as [total], and keeps the [cap] best in a bounded
-   {!Core.Top_k} whose tie order is [compare_row]'s. Rows — and their
-   tag-name lookups — are built for the survivors only. Scores are
-   per-element (no corpus statistics), so the split execution selects
-   exactly what one run over a rebuild would. *)
+   phrase, comp3, ranked and compiled queries — streams its scored
+   nodes into one selector per request, segment after segment (the
+   base, then the delta). The selector drops nodes of tombstoned base
+   documents, remaps ids into the merged dense id space (live base
+   documents keep their relative order, delta documents follow),
+   counts the survivors as [total], and keeps the [cap] best in a
+   bounded {!Core.Top_k} whose tie order is [compare_row]'s. Rows —
+   and their name lookups — are built for the survivors only. Scores
+   are per-element (no corpus statistics), so the split execution
+   selects exactly what one run over a rebuild would. *)
 
 type selector = {
   heap : Access.Scored_node.t Core.Top_k.t;  (** nodes in merged ids *)
@@ -317,18 +319,30 @@ let delta_sink dv sel =
   let remap (n : Access.Scored_node.t) = { n with doc = dv.n_live + n.doc } in
   fun n -> offer sel n remap
 
-(* Feed [run]'s output for each segment of the snapshot into [sel];
-   returns the steps the runs report, summed. *)
+(* Feed [run]'s output for each segment of the snapshot into [sel]. *)
 let select_segments snapshot sel run =
-  let steps = run snapshot.db snapshot.ctx ~emit:(base_sink snapshot sel) in
+  run snapshot.db snapshot.ctx ~emit:(base_sink snapshot sel);
   match snapshot.delta with
   | Some ({ delta_db = Some (ddb, dctx); _ } as dv) ->
-    steps + run ddb dctx ~emit:(delta_sink dv sel)
-  | Some { delta_db = None; _ } | None -> steps
+    run ddb dctx ~emit:(delta_sink dv sel)
+  | Some { delta_db = None; _ } | None -> ()
 
-(* The survivors as rows, best first; each tag id resolves against the
+(* Row labels: an element's tag name, or — for ranked, whose nodes
+   carry their segment-local document id in [tag] — its document's
+   name. *)
+let tag_label catalog (n : Access.Scored_node.t) =
+  if n.tag >= 0 && n.tag < Store.Catalog.tag_count catalog then
+    Store.Catalog.tag_name catalog n.tag
+  else "?"
+
+let document_label catalog (n : Access.Scored_node.t) =
+  if n.tag >= 0 && n.tag < Store.Catalog.document_count catalog then
+    Store.Catalog.document_name catalog n.tag
+  else "?"
+
+(* The survivors as rows, best first; [name] labels each against the
    catalog of the segment the node came from. *)
-let selected_rows snapshot sel =
+let selected_rows snapshot sel name =
   if sel.cap = 0 then []
   else
     List.map
@@ -339,13 +353,12 @@ let selected_rows snapshot sel =
             ddb
           | Some _ | None -> snapshot.db
         in
-        let catalog = Store.Db.catalog db in
-        let tag =
-          if n.tag >= 0 && n.tag < Store.Catalog.tag_count catalog then
-            Store.Catalog.tag_name catalog n.tag
-          else "?"
-        in
-        { tag; doc = n.doc; start = n.start; score = n.score })
+        {
+          tag = name (Store.Db.catalog db) n;
+          doc = n.doc;
+          start = n.start;
+          score = n.score;
+        })
       (Core.Top_k.to_sorted_list sel.heap)
 
 let op_counter name = Metrics.counter ("op." ^ name)
@@ -356,30 +369,19 @@ let timed record name f =
   record name (now () -. t0);
   v
 
-(* Run one segment's access method under a fresh budget of [limits],
-   streaming its output into [emit]; returns the steps consumed. With
-   [par > 1], [partitioned] fans the method out across [par] domains
-   under one shared budget — chunks tick it as they emit — and returns
-   the merged output. Otherwise [sequential] streams into its argument
-   and returns how many items it emitted. Either way, methods that are
-   not internally governed still pay for their output cardinality,
-   and the deadline is sampled once. *)
-let governed limits ~par ~partitioned ~sequential ~emit =
-  if par > 1 then begin
-    let sh = Core.Governor.make_shared limits in
-    let results = partitioned sh in
-    Core.Governor.shared_check_results sh (List.length results);
-    Core.Governor.shared_check_deadline sh;
-    List.iter emit results;
-    Core.Governor.shared_steps sh
-  end
+(* Run one segment's access method under the request's shared budget
+   [sh], streaming its output into [emit]. With [par > 1],
+   [partitioned] fans the method out across [par] domains — chunks
+   tick [sh] as they emit — and returns the merged output. Otherwise
+   [sequential] streams into its argument and returns how many items
+   it emitted, which are charged to [sh]: methods that are not
+   internally governed still pay for their output cardinality. *)
+let governed sh ~par ~partitioned ~sequential ~emit =
+  if par > 1 then List.iter emit (partitioned sh)
   else begin
-    let gov = Core.Governor.start limits in
-    let n = sequential emit in
-    Core.Governor.tick_n gov n;
-    Core.Governor.check_results gov n;
-    Core.Governor.check_deadline gov;
-    Core.Governor.steps gov
+    let gov = Core.Governor.attach sh in
+    Core.Governor.tick_n gov (sequential emit);
+    Core.Governor.settle gov
   end
 
 let truncate k l =
@@ -436,142 +438,68 @@ let compiled ?caches ?snapshot ?(record = fun _ _ -> ()) ~key q =
       Result.iter (Lru.add c.plans cache_key) outcome;
       outcome)
 
+(* The database the interpreter reads. Over a delta it is base ∪
+   delta − tombstones as one database, built by [Store.Db.compact]
+   (the checkpoint's merge) so that collection-statistic scorers see
+   the whole collection. The first interpreted query of a snapshot
+   builds it under the snapshot's own lock: concurrent domains build
+   it once, and a build never waits on another snapshot's. Each
+   document keeps its tree iff its segment did, and a delta keeps all
+   of its documents'. So the rebuild is skipped only when it would
+   keep no tree — a tombstone-only delta over a base that keeps none
+   — and the query reads the base instead: any document it reads
+   fails there as on the rebuild, though the message may name a
+   deleted document. *)
+let interp_db snapshot =
+  match snapshot.delta with
+  | Some ({ rebuild = lock, cell; _ } as dv)
+    when dv.delta_docs > 0 || Store.Db.retains_trees snapshot.db -> (
+    match Atomic.get cell with
+    | Some db -> db
+    | None ->
+      Mutex.protect lock (fun () ->
+          match Atomic.get cell with
+          | Some db -> db
+          | None ->
+            let db =
+              Store.Db.compact ~base:snapshot.db
+                ~delta:(Option.map fst dv.delta_db)
+                ~tombstones:dv.tombstones
+            in
+            Atomic.set cell (Some db);
+            db))
+  | Some _ | None -> snapshot.db
+
 let exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode =
   let key = canonical_key (Query { q; mode }) in
   let stage name f = timed record name f in
   match compiled ?caches ~snapshot ~record ~key q with
   | Error e -> Error e
   | Ok compiled -> begin
-    (* How many times the query reads [document(...)]. The merged
-       base∪delta evaluation runs each half against its own store, so
-       it is exact only when every binding derives from one document
-       sequence — a query combining two [document(...)] reads could
-       pair a base document with a delta document, which neither half
-       can see. *)
-    let document_reads (ast : Query.Ast.t) =
-      let n = ref 0 in
-      let rec expr (e : Query.Ast.expr) =
-        match e with
-        | Query.Ast.Document _ -> incr n
-        | Query.Ast.Var _ | Query.Ast.String_lit _ | Query.Ast.Number_lit _
-        | Query.Ast.String_set _ ->
-          ()
-        | Query.Ast.Path (base, steps) ->
-          expr base;
-          List.iter step steps
-        | Query.Ast.Call (_, args) -> List.iter expr args
-        | Query.Ast.Cmp (_, a, b) | Query.Ast.And (a, b) | Query.Ast.Or (a, b)
-          ->
-          expr a;
-          expr b
-      and step (s : Query.Ast.step) = List.iter pred s.Query.Ast.predicates
-      and pred = function
-        | Query.Ast.Pred_cmp (_, a, b) ->
-          expr a;
-          expr b
-        | Query.Ast.Pred_exists e -> expr e
-      in
-      let constructor c =
-        let rec go (Query.Ast.Elem_cons (_, attrs, children)) =
-          List.iter (fun (_, e) -> expr e) attrs;
-          List.iter
-            (function
-              | Query.Ast.Const_text _ -> ()
-              | Query.Ast.Embedded e -> expr e
-              | Query.Ast.Nested c -> go c)
-            children
-        in
-        go c
-      in
-      List.iter
-        (function
-          | Query.Ast.For (_, e)
-          | Query.Ast.Let (_, e)
-          | Query.Ast.Where e ->
-            expr e
-          | Query.Ast.Score (_, _, args) | Query.Ast.Pick (_, _, args) ->
-            List.iter expr args)
-        ast.Query.Ast.clauses;
-      constructor ast.Query.Ast.returns;
-      (match ast.Query.Ast.thresh with
-      | Some th -> expr th.Query.Ast.t_expr
-      | None -> ());
-      !n
-    in
+    (* a fresh evaluator per query: its tree cache and governor slot
+       are private, so the interpreter is domain-safe too. The
+       request's deadline runs from before the rebuild, so a build
+       that overruns it is the request's breach. Budget and storage
+       failures raise to {!exec}'s handlers. *)
     let run_interp () =
-      let exclude_docs =
-        match snapshot.delta with
-        | Some dv -> fun doc -> is_tombstoned dv doc
-        | None -> fun _ -> false
-      in
       Metrics.incr (op_counter "interp");
-      match snapshot.delta with
-      | Some dv when dv.delta_docs > 0 -> begin
-        (* Evaluate the base (minus tombstones) and the delta each
-           against its own store, raw — no sortby, no stop-after —
-           concatenate base-then-delta (the rebuilt database's
-           document order), then finalize once. Each half is lenient
-           about a matchless [document(...)]: the matching documents
-           may all live in the other half. *)
-        match stage "parse" (fun () -> Query.Parser.parse q) with
-        | Error e ->
-          Error (Parse_error (Format.asprintf "%a" Query.Parser.pp_error e))
-        | Ok ast when document_reads ast > 1 ->
-          Error
-            (Unsupported
-               "a query reading document(...) more than once cannot run on \
-                the interpreter while inserted/updated documents are \
-                pending; checkpoint first")
-        | Ok ast -> begin
-          match
-            stage "execute" (fun () ->
-                let base_eval =
-                  Query.Eval.create ~limits ~trace:tracer ~exclude_docs
-                    ~lenient_docs:true snapshot.db
-                in
-                let base = Query.Eval.run_raw base_eval ast in
-                let delta, delta_steps =
-                  match dv.delta_db with
-                  | None -> ([], 0)
-                  | Some (ddb, _) ->
-                    let delta_eval =
-                      Query.Eval.create ~limits ~trace:tracer
-                        ~lenient_docs:true ddb
-                    in
-                    let r = Query.Eval.run_raw delta_eval ast in
-                    (r, Query.Eval.last_steps delta_eval)
-                in
-                ( Query.Eval.finalize ast (base @ delta),
-                  Query.Eval.last_steps base_eval + delta_steps ))
-          with
-          | results, steps ->
-            let trees =
-              List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
-            in
-            Ok
-              (answer ~trees:(truncate k trees) ~steps
-                 ~total:(List.length trees) [])
-          | exception Query.Eval.Error msg -> Error (Unsupported msg)
-        end
-      end
-      | _ ->
-        (* a fresh evaluator per query: its tree cache and governor
-           slot are private, so the interpreter is domain-safe too.
-           Tombstone-only deltas are exact via [exclude_docs]: hiding
-           a document never changes the others' results. *)
-        let evaluator =
-          Query.Eval.create ~limits ~trace:tracer ~exclude_docs snapshot.db
+      match Query.Parser.parse q with
+      | Error e ->
+        Error (Parse_error (Format.asprintf "%a" Query.Parser.pp_error e))
+      | Ok ast ->
+        let trees, steps =
+          stage "execute" (fun () ->
+              let governor = Core.Governor.start limits in
+              let db = interp_db snapshot in
+              Core.Governor.check_deadline governor;
+              let evaluator = Query.Eval.create ~trace:tracer db in
+              let results = Query.Eval.run ~governor evaluator ast in
+              ( List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results,
+                Core.Governor.steps governor ))
         in
-        (match stage "execute" (fun () -> Query.Eval.run_string evaluator q) with
-        | Ok results ->
-          let trees =
-            List.map (fun r -> Xmlkit.Printer.to_string ~indent:2 r) results
-          in
-          Ok
-            (answer ~trees:(truncate k trees)
-               ~steps:(Query.Eval.last_steps evaluator)
-               ~total:(List.length trees) [])
-        | Error msg -> Error (Unsupported msg))
+        Ok
+          (answer ~trees:(truncate k trees) ~steps ~total:(List.length trees)
+             [])
     in
     (* After a costed plan ran: stamp its row estimate onto the span
        tree (EXPLAIN's est-vs-actual column) and feed the observed
@@ -616,11 +544,11 @@ let exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode =
         stage "execute" (fun () ->
             Query.Compile.query_span ~trace:tracer ~governor:gov plan
             @@ fun () ->
-            let (_ : int) =
-              select_segments snapshot sel (fun db _ ~emit ->
-                  Query.Compile.run ~trace:tracer ~governor:gov db plan ~emit)
-            in
-            (sel.live, selected_rows snapshot sel))
+            select_segments snapshot sel (fun db _ ~emit ->
+                ignore
+                  (Query.Compile.run ~trace:tracer ~governor:gov db plan ~emit
+                    : int));
+            (sel.live, selected_rows snapshot sel tag_label))
       in
       let total = min limit sel.live in
       note_plan_outcome plan total;
@@ -720,12 +648,18 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
         trace = trace_span;
       }
     in
-    (* Node-result families (search, phrase): run the access method
-       over each segment into one selector *)
-    let select_nodes run =
-      let sel = selector (cap_of k) in
-      let steps = select_segments snapshot sel run in
-      (selected_rows snapshot sel, sel.live, steps)
+    (* Node-result families (search, phrase, ranked): every segment's
+       access method streams into one selector under one budget. The
+       result cap is checked once, against the count a rebuild would
+       emit: the survivors, at most [limit]. *)
+    let select_nodes ?(limit = max_int) ~cap ~name run =
+      let sel = selector cap in
+      let sh = Core.Governor.make_shared limits in
+      select_segments snapshot sel (run sh);
+      let total = min limit sel.live in
+      Core.Governor.shared_check_results sh total;
+      Core.Governor.shared_check_deadline sh;
+      (selected_rows snapshot sel name, total, Core.Governor.shared_steps sh)
     in
     match
       match request with
@@ -815,8 +749,9 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           in
           let rows, total, steps =
             timed record "execute" (fun () ->
-                select_nodes (fun _ ctx ~emit ->
-                    governed limits ~par ~emit ~sequential:(sequential ctx)
+                select_nodes ~cap:(cap_of k) ~name:tag_label
+                  (fun sh _ ctx ~emit ->
+                    governed sh ~par ~emit ~sequential:(sequential ctx)
                       ~partitioned:(fun shared ->
                         Exec.Par.score ~trace:tracer ~shared ~mode
                           ~parallelism:par access ctx ~terms)))
@@ -852,8 +787,9 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
           let rows, total, steps =
             timed record "execute" (fun () ->
-                select_nodes (fun _ ctx ~emit ->
-                    governed limits ~par ~emit
+                select_nodes ~cap:(cap_of k) ~name:tag_label
+                  (fun sh _ ctx ~emit ->
+                    governed sh ~par ~emit
                       ~partitioned:(fun shared ->
                         Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par
                           ctx ~phrase:words)
@@ -887,82 +823,66 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           in
           let par = decision.Query.Planner.parallelism in
           if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
-          (* One top-k run per segment, each document id mapped into
-             the merged dense id space ([None]: tombstoned). The base
-             run is widened by the tombstone count: every live
-             document of the true merged top-K is then guaranteed to
-             be among the surviving base candidates. *)
-          let segments =
-            match snapshot.delta with
-            | None -> [ (snapshot.db, snapshot.ctx, kk, Option.some) ]
-            | Some dv ->
-              ( snapshot.db,
-                snapshot.ctx,
-                kk + dv.n_tomb,
-                fun doc ->
-                  if is_tombstoned dv doc then None else Some dv.dense.(doc) )
-              :: Option.fold ~none:[]
-                   ~some:(fun (ddb, dctx) ->
-                     [ (ddb, dctx, kk, fun doc -> Some (dv.n_live + doc)) ])
-                   dv.delta_db
-          in
-          let run_segment (rows, steps) (db, ctx, k, merged_id) =
-            let catalog = Store.Db.catalog db in
-            let row (doc, score) =
-              Option.map
-                (fun merged ->
-                  let tag =
-                    if doc >= 0 && doc < Store.Catalog.document_count catalog
-                    then Store.Catalog.document_name catalog doc
-                    else "?"
-                  in
-                  { tag; doc = merged; start = -1; score })
-                (merged_id doc)
-            in
-            let rows = ref rows in
-            let emit d = Option.iter (fun r -> rows := r :: !rows) (row d) in
-            let steps =
-              steps
-              + governed limits ~par ~emit
-                  ~partitioned:(fun shared ->
-                    Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
-                      ~parallelism:par ctx ~terms ~k)
-                  ~sequential:(fun emit ->
-                    (* a θ hint seeds the same shared threshold the
-                       parallel chunks use; pruning against it is exact
-                       under the monotone-θ invariant (Core.Merge) *)
-                    let shared_threshold =
-                      Option.map
-                        (fun seed -> Core.Merge.Theta.make ~seed ())
-                        theta
-                    in
-                    let docs =
-                      Access.Ranked.top_k_docs ~trace:tracer ?shared_threshold
-                        ctx ~terms ~k
-                    in
-                    List.iter emit docs;
-                    List.length docs)
-            in
-            (!rows, steps)
-          in
-          let rows, steps =
+          (* Each segment's top-k documents stream into the selector
+             as nodes carrying their segment-local id in [tag]. The
+             base run is widened by its tombstone count: every live
+             document of the merged top-[kk] is then among the base
+             candidates that survive. *)
+          let rows, total, steps =
             timed record "execute" (fun () ->
-                List.fold_left run_segment ([], 0) segments)
+                select_nodes ~limit:kk ~cap:(min kk (cap_of k))
+                  ~name:document_label
+                  (fun sh db ctx ~emit ->
+                    let k =
+                      match snapshot.delta with
+                      | Some dv when db == snapshot.db -> kk + dv.n_tomb
+                      | Some _ | None -> kk
+                    in
+                    let emit (doc, score) =
+                      emit
+                        {
+                          Access.Scored_node.doc;
+                          start = -1;
+                          end_ = -1;
+                          level = 0;
+                          tag = doc;
+                          score;
+                        }
+                    in
+                    governed sh ~par ~emit
+                      ~partitioned:(fun shared ->
+                        Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
+                          ~parallelism:par ctx ~terms ~k)
+                      ~sequential:(fun emit ->
+                        (* a θ hint seeds the same shared threshold the
+                           parallel chunks use; pruning against it is
+                           exact under the monotone-θ invariant
+                           (Core.Merge) *)
+                        let shared_threshold =
+                          Option.map
+                            (fun seed -> Core.Merge.Theta.make ~seed ())
+                            theta
+                        in
+                        let docs =
+                          Access.Ranked.top_k_docs ~trace:tracer
+                            ?shared_threshold ctx ~terms ~k
+                        in
+                        List.iter emit docs;
+                        List.length docs)))
           in
-          let rows = truncate (Some kk) (List.sort compare_row rows) in
           (* a full top-K is a lower bound on the operator's true
              cardinality, not a measurement: only unsaturated runs
              feed the correction table *)
-          if List.length rows < kk then
+          if total < kk then
             Ir.Stats.Feedback.observe snapshot.feedback
               ~key:(canonical_key request)
               ~est:(float_of_int decision.Query.Planner.est_rows)
-              ~actual:(float_of_int (List.length rows));
+              ~actual:(float_of_int total);
           Ok
             (finish
                (answer
                   ~plan:("planner: " ^ Query.Planner.to_string decision)
-                  ~steps ~total:(List.length rows) (truncate k rows)))
+                  ~steps ~total rows))
         end
     with
     | outcome -> outcome

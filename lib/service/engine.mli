@@ -21,11 +21,20 @@ type delta_view = {
   n_live : int;  (** live base documents; delta doc [d] ↦ [n_live + d] *)
   n_tomb : int;
   delta_docs : int;
+  rebuild : Mutex.t * Store.Db.t option Atomic.t;
+      (** base ∪ delta − tombstones as one database
+          ({!Store.Db.compact}), which interpreted queries read, and the
+          lock its one build holds. Empty until the first interpreted
+          query of the snapshot builds it; never built for a
+          tombstone-only delta over a base that retains no trees
+          ({!Store.Db.retains_trees}), since it would retain none *)
 }
-(** How a snapshot sees a pending {!Store.Delta}: queries run over
-    the base and the delta separately and are merged in the dense id
-    space, so results — ids, scores, order — equal a from-scratch
-    rebuild of base ∪ delta − tombstones. *)
+(** How a snapshot sees a pending {!Store.Delta}, read in two ways.
+    Access methods and compiled plans run over the base and the delta
+    separately and stream into one selection in the dense id space;
+    the interpreter reads [rebuild]. Either way results — ids,
+    scores, order — equal a from-scratch rebuild of base ∪ delta −
+    tombstones. *)
 
 type snapshot = {
   db : Store.Db.t;
@@ -115,9 +124,8 @@ type row = { tag : string; doc : int; start : int; score : float }
 
 val compare_row : row -> row -> int
 (** Score descending, ties in [(doc, start)] order — the order every
-    result family emits. Exposed so distributed merges (base+delta
-    overlays, cross-shard gather) reproduce single-run output
-    exactly. *)
+    result family emits. Exposed so the cross-shard gather reproduces
+    single-run output exactly. *)
 
 type result = {
   rows : row list;
@@ -185,7 +193,16 @@ val exec :
   snapshot ->
   request ->
   (result, error) Stdlib.result
-(** Evaluate one request under a fresh governor. [k] truncates the
+(** Evaluate one request under one fresh budget of [limits]. Over a
+    pending delta the budget covers both segments: search, phrase and
+    ranked draw every segment's steps from one
+    {!Core.Governor.shared} budget and check the result cap once,
+    against [total]; a compiled plan runs every segment under one
+    governor; an interpreted query runs once, on the snapshot's
+    [rebuild], under a deadline that also covers building it (the
+    build itself is charged no steps). A breach is
+    {!error.Exhausted} and a storage fault
+    {!error.Storage}, whichever family raised it. [k] truncates the
     ranked row list (default: keep everything). Stage latencies are
     recorded in {!Metrics} histograms ([stage.*]) and the executed
     operator in [op.*] counters.

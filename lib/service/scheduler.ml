@@ -188,48 +188,24 @@ let submit_fn t fn =
   in
   match enqueue t { work } with Ok () -> Ok p | Error _ as e -> e
 
-(* Prepared statements are named queries: the compiled plan lives in
-   the plan cache under the query's canonical key, so Execute is a
-   plain Query submission that hits the cache. *)
+(* Prepared statements are named queries: {!explain} compiles and
+   costs the plan into the plan cache under the key an [`Engine] query
+   executes with, so Execute is a plain Query submission that hits
+   the cache. *)
 let prepare t q =
-  let request = Engine.Query { q; mode = `Engine } in
-  let key = Engine.canonical_key request in
-  match
-    Mutex.protect t.prepared_lock (fun () ->
-        Hashtbl.find_opt t.prepared_by_key key)
-  with
-  | Some id -> Ok id
-  | None -> begin
-    match Query.Parser.parse q with
-    | Error e -> Error (Engine.Parse_error (Format.asprintf "%a" Query.Parser.pp_error e))
-    | Ok ast -> begin
-      let outcome = Query.Compile.compile ast in
-      match outcome with
-      | Error reason ->
-        Error (Engine.Unsupported (Printf.sprintf "not compilable: %s" reason))
-      | Ok plan ->
-        (* cache the costed plan under the same generation-prefixed
-           key Execute's lookup uses; a later feedback-generation bump
-           orphans the entry and Execute re-costs on the miss *)
-        let snap = Atomic.get t.snap in
-        let costed =
-          Query.Compile.plan_with_stats ~feedback:snap.Engine.feedback ~key
-            snap.Engine.db plan
-        in
-        Lru.add t.caches.Engine.plans
-          (Engine.plan_cache_key snap key)
-          (Ok costed);
-        Mutex.protect t.prepared_lock (fun () ->
-            match Hashtbl.find_opt t.prepared_by_key key with
-            | Some id -> Ok id
-            | None ->
-              let id = t.next_prepared in
-              t.next_prepared <- id + 1;
-              Hashtbl.replace t.prepared_tbl id q;
-              Hashtbl.replace t.prepared_by_key key id;
-              Ok id)
-    end
-  end
+  let key = Engine.canonical_key (Engine.Query { q; mode = `Engine }) in
+  Result.map
+    (fun (_ : string) ->
+      Mutex.protect t.prepared_lock (fun () ->
+          match Hashtbl.find_opt t.prepared_by_key key with
+          | Some id -> id
+          | None ->
+            let id = t.next_prepared in
+            t.next_prepared <- id + 1;
+            Hashtbl.replace t.prepared_tbl id q;
+            Hashtbl.replace t.prepared_by_key key id;
+            id))
+    (explain t q)
 
 let prepared t id =
   Mutex.protect t.prepared_lock (fun () -> Hashtbl.find_opt t.prepared_tbl id)

@@ -74,10 +74,11 @@ val submit_fn : t -> (unit -> unit) -> (unit promise, error) result
     admission control as queries. *)
 
 val prepare : t -> string -> (int, Engine.error) result
-(** Register a query text as a prepared statement, compiling it
-    through the plan cache now; returns a dense id valid until
-    {!shutdown}. Re-preparing the same canonical text returns the
-    existing id. *)
+(** Register a query text as a prepared statement, compiling it into
+    the plan cache now through {!explain}, whose error it returns for
+    a query outside the compilable fragment; returns a dense id valid
+    until {!shutdown}. Re-preparing the same canonical text returns
+    the existing id. *)
 
 val prepared : t -> int -> string option
 

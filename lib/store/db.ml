@@ -49,7 +49,8 @@ type t = {
   parents : Parent_index.t;
   tags : Tag_index.t;
   index : Ir.Inverted_index.t;
-  numberings : Xmlkit.Numbering.t array option;
+  numberings : Xmlkit.Numbering.t option array;
+      (* each document's tree, if kept; empty when none was loaded *)
   verif : verifier;
   coll_stats : Ir.Stats.t option Atomic.t;
       (* planner statistics: decoded from the image's stats section,
@@ -171,10 +172,7 @@ let finish b =
     parents = Parent_index.freeze b.b_parents;
     tags = Tag_index.freeze b.b_tags;
     index = Ir.Inverted_index.freeze b.b_index;
-    numberings =
-      (if b.b_options.keep_trees then
-         Some (Array.of_list (List.rev b.b_numberings))
-       else None);
+    numberings = Array.of_list (List.rev_map Option.some b.b_numberings);
     verif = verified ();
     coll_stats = Atomic.make None;
   }
@@ -250,10 +248,11 @@ let stats t =
     index_bytes = istats.bytes;
   }
 
+let retains_trees t = Array.exists Option.is_some t.numberings
+
 let numbering t ~doc =
-  match t.numberings with
-  | Some arr when doc >= 0 && doc < Array.length arr -> Some arr.(doc)
-  | Some _ | None -> None
+  if doc >= 0 && doc < Array.length t.numberings then t.numberings.(doc)
+  else None
 
 let subtree t ~doc ~start =
   match numbering t ~doc with
@@ -353,28 +352,17 @@ let compact ~base ~delta ~tombstones =
             Ir.Inverted_index.add_normalized_occurrence index_b
               ~doc:(n_live + o.doc) ~node:o.node ~term ~pos:o.pos)
           postings));
-  let numberings =
-    let live_base =
-      match base.numberings with
-      | Some arr ->
-        let live = ref [] in
-        Array.iteri (fun d num -> if remap.(d) >= 0 then live := num :: !live) arr;
-        Some (List.rev !live)
-      | None -> if n_live = 0 then Some [] else None
-    in
-    let from_delta =
-      match delta with
-      | None -> Some []
-      | Some dd -> (
-        match dd.numberings with
-        | Some arr -> Some (Array.to_list arr)
-        | None ->
-          if Catalog.document_count dd.catalog = 0 then Some [] else None)
-    in
-    match (live_base, from_delta) with
-    | Some a, Some b -> Some (Array.of_list (a @ b))
-    | _ -> None
-  in
+  (* each document keeps its tree iff its source kept it *)
+  let numberings = Array.make (Catalog.document_count catalog) None in
+  for d = 0 to n_base - 1 do
+    if remap.(d) >= 0 then numberings.(remap.(d)) <- numbering base ~doc:d
+  done;
+  Option.iter
+    (fun dd ->
+      for d = 0 to Catalog.document_count dd.catalog - 1 do
+        numberings.(n_live + d) <- numbering dd ~doc:d
+      done)
+    delta;
   {
     catalog;
     elements = Element_store.freeze store_b;
@@ -665,7 +653,7 @@ let decode ~path ~verif buf sections =
     let s_off, s_len = find "stats" in
     let stats, s_end = Ir.Stats.load_buf buf s_off in
     if s_end <> s_off + s_len then failwith "stats section length mismatch";
-    { catalog; elements; parents; tags; index; numberings = None; verif;
+    { catalog; elements; parents; tags; index; numberings = [||]; verif;
       coll_stats = Atomic.make (Some stats) }
   with
   | db ->

@@ -86,6 +86,11 @@ val subtree : t -> doc:int -> start:int -> Xmlkit.Tree.element option
 
 val numbering : t -> doc:int -> Xmlkit.Numbering.t option
 
+val retains_trees : t -> bool
+(** Whether any document kept its tree: an in-memory load with
+    [keep_trees] keeps every document's, an opened image none, and a
+    {!compact} each document's whose source kept it. *)
+
 val tag_of : t -> doc:int -> start:int -> string option
 (** Tag name of the element with the given start key, resolved
     through the parent index and the catalog (no data-page access). *)
@@ -97,9 +102,9 @@ val compact : base:t -> delta:t option -> tombstones:bool array -> t
     own id order. Element records and posting occurrences are
     re-added under the new ids, so the result is equivalent to
     loading the surviving documents from scratch — this is the
-    checkpoint's merge step. Retained trees survive when every
-    surviving source had them ([base] live docs and [delta]);
-    otherwise the result keeps none, like an image-loaded database. *)
+    checkpoint's merge step. Each surviving document keeps its tree
+    iff its source kept it, so a merge of an opened image and a delta
+    keeps the delta documents' trees only. *)
 
 (** {1 Persistence}
 

@@ -6,7 +6,8 @@
 #   - the recovered set is a contiguous prefix of the send order
 #     (atomicity: a torn trailing append recovers to pre-op),
 #   - query answers over base + recovered delta are byte-identical to
-#     a from-scratch rebuild of the same corpus,
+#     a from-scratch rebuild of the same corpus, for a compiled query
+#     and for an interpreted tfidf query (collection statistics),
 #   - a checkpoint folds the delta into an image, bumps the snapshot
 #     generation, and a third restart boots from that image alone,
 #   - documents acked while an async (wait:false) checkpoint is in
@@ -125,25 +126,42 @@ score $a using ScoreFoo($a, {"shared"}, {"smoke"})
 return <r>{$a}</r>
 sortby(score)
 threshold $a/@score > 0 stop after 10'
+# tfidf is not compilable: -q runs it on the interpreter, whose
+# document counts and frequencies must be the whole collection's
+TFIDF_QUERY='for $a in document("*")//article/descendant-or-self::*
+score $a using tfidf($a, {"shared", "smoke"})
+return <r><score>{$a/@score}</score>{$a}</r>
+sortby(score)
+threshold $a/@score > 0 stop after 10'
 REBUILD_FILES=$BASE_FILES
 for i in $(seq 0 $((RECOVERED - 1))); do
   REBUILD_FILES="$REBUILD_FILES $WORK/docs/doc-$i.xml"
 done
 client -q "$QUERY" -k 10 > "$WORK/server.json" || fail "server query"
+client -q "$TFIDF_QUERY" -k 10 > "$WORK/server_tfidf.json" \
+  || fail "server tfidf query"
 # shellcheck disable=SC2086
 "$TIXDB" query $REBUILD_FILES -q "$QUERY" --format json > "$WORK/rebuild.json" \
   || fail "rebuild query"
+# shellcheck disable=SC2086
+"$TIXDB" query $REBUILD_FILES -q "$TFIDF_QUERY" --format json \
+  > "$WORK/rebuild_tfidf.json" || fail "rebuild tfidf query"
 python3 - "$WORK" <<'PY' || fail "recovered answers diverge from rebuild"
 import json, sys, os
 work = sys.argv[1]
-with open(os.path.join(work, "server.json")) as f:
-    server = json.load(f)
-with open(os.path.join(work, "rebuild.json")) as f:
-    rebuild = json.load(f)
+def load(name):
+    with open(os.path.join(work, name)) as f:
+        return json.load(f)
+server, rebuild = load("server.json"), load("rebuild.json")
 assert server["ok"] and rebuild["ok"], (server, rebuild)
 assert server["results"] == rebuild["results"], "rows differ"
 assert server["total"] == rebuild["total"], "totals differ"
 print("   %d rows identical to rebuild" % server["total"])
+server, rebuild = load("server_tfidf.json"), load("rebuild_tfidf.json")
+assert server["ok"] and rebuild["ok"], (server, rebuild)
+assert server["trees"] == rebuild["trees"], "tfidf trees differ"
+assert server["total"] == rebuild["total"], "tfidf totals differ"
+print("   %d tfidf trees identical to rebuild" % len(server["trees"]))
 PY
 
 echo "== checkpoint bumps the generation and resets the WAL"
@@ -153,14 +171,18 @@ NEWGEN=$(client --health | sed -n 's/.*"generation":\([0-9][0-9]*\).*/\1/p')
 [ "$NEWGEN" -eq $((GEN + 1)) ] || fail "generation did not bump ($GEN -> $NEWGEN)"
 client --stats | grep -q '"wal_records":0' || fail "WAL not reset by checkpoint"
 client -q "$QUERY" -k 10 > "$WORK/after_ckpt.json" || fail "post-checkpoint query"
+client -q "$TFIDF_QUERY" -k 10 > "$WORK/after_ckpt_tfidf.json" \
+  || fail "post-checkpoint tfidf query"
 python3 - "$WORK" <<'PY' || fail "checkpoint changed the answers"
 import json, sys, os
 work = sys.argv[1]
-with open(os.path.join(work, "server.json")) as f:
-    before = json.load(f)
-with open(os.path.join(work, "after_ckpt.json")) as f:
-    after = json.load(f)
+def load(name):
+    with open(os.path.join(work, name)) as f:
+        return json.load(f)
+before, after = load("server.json"), load("after_ckpt.json")
 assert before["results"] == after["results"], "rows differ across checkpoint"
+before, after = load("server_tfidf.json"), load("after_ckpt_tfidf.json")
+assert before["trees"] == after["trees"], "tfidf trees differ across checkpoint"
 print("   answers unchanged across checkpoint")
 PY
 

@@ -583,6 +583,23 @@ let test_health_stats_prepare () =
           | r -> check bool_ "read only" true (not (response_ok r)));
           Dist.Client.close (Dist.Coordinator.client coord)))
 
+(* a query outside the compilable fragment is refused by tixd and by
+   the coordinator, which validates through a shard's explain, with
+   one error object *)
+let test_prepare_not_compilable () =
+  let req =
+    Protocol.Prepare { q = {|for $a in document("*")//article return <r>{$a}</r>|} }
+  in
+  with_single (fun single ->
+      with_cluster 2 (fun c ->
+          let coord = Dist.Coordinator.create ~source:"test" c.map in
+          let expected = single req in
+          check bool_ "tixd refuses" false (response_ok expected);
+          check string_ "coordinator error = tixd error"
+            (Json.to_string expected)
+            (Json.to_string (Dist.Coordinator.handle coord req));
+          Dist.Client.close (Dist.Coordinator.client coord)))
+
 (* traced distributed queries graft each shard's span tree under one
    Scatter root *)
 let test_trace_grafting () =
@@ -630,6 +647,8 @@ let () =
           tc "row limit is a field, not plan text" `Quick test_limit_field;
           tc "trace grafting" `Quick test_trace_grafting;
           tc "health, stats, prepare" `Quick test_health_stats_prepare;
+          tc "prepare refusal matches single node" `Quick
+            test_prepare_not_compilable;
         ] );
       ( "failure",
         [

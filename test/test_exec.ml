@@ -295,6 +295,30 @@ let test_engine_parallel_budget_error () =
   | Error e ->
     Alcotest.failf "wrong error: %s" (Service.Engine.error_message e)
 
+(* a result-cap breach reports the steps the request took, the same
+   sequentially and across domains *)
+let test_engine_result_cap_steps () =
+  let limits = Core.Governor.limits ~max_results:1 () in
+  let req =
+    Service.Engine.Search
+      { terms; method_ = Service.Engine.Termjoin; complex = false; anchor = None }
+  in
+  let steps parallelism =
+    match
+      Service.Engine.exec ~limits ~parallelism (Lazy.force snapshot) req
+    with
+    | Error (Service.Engine.Exhausted v) ->
+      check bool_ "result-cap violation" true
+        (v.Core.Governor.reason = Core.Governor.Results);
+      v.Core.Governor.steps
+    | Ok _ -> Alcotest.fail "1-result cap not enforced"
+    | Error e ->
+      Alcotest.failf "wrong error: %s" (Service.Engine.error_message e)
+  in
+  let sequential = steps 1 in
+  check bool_ "steps reported" true (sequential > 1);
+  check int_ "parallel steps = sequential steps" sequential (steps 2)
+
 (* the fan-out shows up in the span tree: one Parallel span with one
    Partition child per chunk *)
 let test_parallel_trace_spans () =
@@ -334,6 +358,7 @@ let () =
           tc "parallel rows identical" `Quick test_engine_parallel_identical;
           tc "steps_used" `Quick test_engine_steps_used;
           tc "budget error is typed" `Quick test_engine_parallel_budget_error;
+          tc "result-cap steps" `Quick test_engine_result_cap_steps;
           tc "trace fan-out" `Quick test_parallel_trace_spans;
         ] );
     ]

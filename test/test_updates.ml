@@ -712,13 +712,25 @@ let test_query_tombstoned_top_rows () =
         live.Service.Engine.total)
     [ ("tombstone only", []); ("tombstone + insert", [ ("new.xml", doc_c) ]) ]
 
+let rebuild_of (s : Service.Engine.snapshot) =
+  match s.Service.Engine.delta with
+  | Some { Service.Engine.rebuild = _, cell; _ } -> Atomic.get cell
+  | None -> None
+
+let delta_exn base ~deleted ~inserted =
+  let ok = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "delta: %s" (Store.Delta.mutation_error_to_string e)
+  in
+  let delta = Store.Delta.create ~base in
+  List.iter (fun name -> ok (Store.Delta.delete delta ~name)) deleted;
+  List.iter (fun (name, xml) -> ok (Store.Delta.insert delta ~name ~xml)) inserted;
+  delta
+
 let test_interp_over_delta () =
   (* the interpreter fallback stays available over a pending delta:
-     deletions mask tombstoned documents from the base evaluator, and
-     pending documents are evaluated by a second (delta) evaluator
-     whose raw results merge with the base half before the
-     order-sensitive tail runs (this used to be a typed
-     Unsupported) *)
+     it reads the snapshot's rebuild of base ∪ delta − tombstones
+     (this used to be a typed Unsupported) *)
   with_dir (fun dir ->
       let base =
         Store.Db.of_documents
@@ -791,8 +803,9 @@ let test_interp_over_delta () =
             ((run snap2).Service.Engine.trees
             = (run rebuilt2).Service.Engine.trees))
         [ 1; 2 ];
-      (* a query reading document(...) twice could pair base and delta
-         documents neither half sees: still a typed Unsupported *)
+      let built = rebuild_of snap2 in
+      (* a query reading document(...) twice pairs base and delta
+         documents: the rebuild holds both *)
       let q2 =
         {|
         for $a in document("*")//article
@@ -801,15 +814,311 @@ let test_interp_over_delta () =
         return <r>{$a}</r>
         |}
       in
-      (match
-         Service.Engine.exec snap2 (Service.Engine.Query { q = q2; mode = `Interp })
-       with
-      | Error (Service.Engine.Unsupported _) -> ()
-      | Ok _ -> Alcotest.fail "interp merged a two-document() query"
+      let run2 s =
+        match
+          Service.Engine.exec s (Service.Engine.Query { q = q2; mode = `Interp })
+        with
+        | Ok r -> r.Service.Engine.trees
+        | Error e ->
+          Alcotest.failf "two-document() interp: %s"
+            (Service.Engine.error_message e)
+      in
+      check (Alcotest.list string_) "two-document() query = rebuild"
+        (run2 rebuilt2) (run2 snap2);
+      check bool_ "later queries reuse the snapshot's one rebuild" true
+        (Option.is_some built && rebuild_of snap2 == built);
+      Store.Live.close live)
+
+(* After a restart the base is the checkpoint image, which retains no
+   trees, while pending documents keep theirs. A query reading only a
+   pending document answers from the rebuild and keeps answering
+   after the next checkpoint; one reading a base document fails as
+   before; a tombstone-only delta builds no rebuild, which would
+   retain no tree. *)
+let test_interp_after_restart () =
+  with_dir (fun dir ->
+      let reopen () =
+        match Store.Live.open_dir ~dir () with
+        | Ok o -> o.Store.Live.live
+        | Error e -> Alcotest.failf "open: %s" (Store.Live.error_to_string e)
+      in
+      let checkpoint live =
+        match Store.Live.checkpoint live with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "checkpoint: %s" (Store.Live.error_to_string e)
+      in
+      let live =
+        match Store.Live.open_dir ~base:(mk_base ()) ~dir () with
+        | Ok o -> o.Store.Live.live
+        | Error e -> Alcotest.failf "open: %s" (Store.Live.error_to_string e)
+      in
+      checkpoint live;
+      Store.Live.close live;
+      let live = reopen () in
+      apply_live_exn live (Store.Wal.Insert { name = "new.xml"; xml = doc_a });
+      let query pattern =
+        Printf.sprintf
+          {|for $a in document(%S)//article/descendant-or-self::*
+            score $a using ScoreFoo($a, {"search engine"}, {"retrieval"})
+            return <r>{$a}</r>
+            sortby(score)|}
+          pattern
+      in
+      let exec s pattern =
+        Service.Engine.exec s
+          (Service.Engine.Query { q = query pattern; mode = `Interp })
+      in
+      let answer s =
+        match exec s "new.xml" with
+        | Ok r -> r.Service.Engine.trees
+        | Error e -> Alcotest.failf "interp: %s" (Service.Engine.error_message e)
+      in
+      let expected =
+        answer
+          (snapshot_exn
+             (Store.Db.of_documents
+                (parse_docs (base_docs @ [ ("new.xml", doc_a) ]))))
+      in
+      let snap = live_snapshot live in
+      check bool_ "the base retains no trees" false
+        (Store.Db.retains_trees snap.Service.Engine.db);
+      check (Alcotest.list string_) "pending document = rebuild" expected
+        (answer snap);
+      check bool_ "rebuild built" true (Option.is_some (rebuild_of snap));
+      (match exec snap "*" with
+      | Error (Service.Engine.Unsupported msg) ->
+        check string_ "tree-less base message"
+          "document 0 was loaded without keep_trees; cannot navigate it" msg
+      | Ok _ -> Alcotest.fail "interp navigated a tree-less image"
       | Error e ->
         Alcotest.failf "wanted Unsupported, got %s"
           (Service.Engine.error_message e));
+      checkpoint live;
+      check (Alcotest.list string_) "answer unchanged across checkpoint"
+        expected
+        (answer (live_snapshot live));
+      Store.Live.close live;
+      let live = reopen () in
+      apply_live_exn live (Store.Wal.Delete { name = "d0.xml" });
+      let snap = live_snapshot live in
+      (* the base is read as is, so the message names the deleted d0 *)
+      (match exec snap "*" with
+      | Error (Service.Engine.Unsupported msg) ->
+        check string_ "tombstone-only delta message"
+          "document 0 was loaded without keep_trees; cannot navigate it" msg
+      | Ok _ -> Alcotest.fail "interp navigated a tree-less image"
+      | Error e ->
+        Alcotest.failf "wanted Unsupported, got %s"
+          (Service.Engine.error_message e));
+      check bool_ "rebuild never built" true (rebuild_of snap = None);
       Store.Live.close live)
+
+(* The request's deadline runs from before the rebuild: a build that
+   outlasts it is the request's breach, charged no steps, and the
+   next query reuses the rebuild *)
+let test_interp_deadline_covers_rebuild () =
+  let base = mk_base () in
+  let snap =
+    Service.Engine.with_delta (snapshot_exn base)
+      (delta_exn base ~deleted:[] ~inserted:[ ("new.xml", doc_a) ])
+  in
+  let request =
+    Service.Engine.Query
+      {
+        q = {|for $a in document("*")//p return <r>{$a}</r>|};
+        mode = `Interp;
+      }
+  in
+  (match
+     Service.Engine.exec
+       ~limits:(Core.Governor.limits ~timeout_s:1e-9 ())
+       snap request
+   with
+  | Error (Service.Engine.Exhausted v) ->
+    check bool_ "deadline" true (v.Core.Governor.reason = Core.Governor.Timeout);
+    check int_ "no evaluation steps" 0 v.Core.Governor.steps
+  | Ok _ -> Alcotest.fail "deadline not enforced"
+  | Error e -> Alcotest.failf "wanted exhausted: %s" (Service.Engine.error_message e));
+  let built = rebuild_of snap in
+  check bool_ "rebuild kept" true (Option.is_some built);
+  (match Service.Engine.exec snap request with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "interp: %s" (Service.Engine.error_message e));
+  check bool_ "rebuild reused" true (rebuild_of snap == built)
+
+(* Collection-statistic scorers read the document count and document
+   frequencies of the whole collection: interpreted over a
+   tombstone-only delta or a pending insert, tfidf and bm25 score as
+   on a from-scratch rebuild *)
+let test_interp_statistics_over_delta () =
+  let base = mk_base () in
+  let hot = "<article><sec><p>search search search</p></sec></article>" in
+  List.iter
+    (fun scorer ->
+      let q =
+        Printf.sprintf
+          {|for $a in document("*")//p
+            score $a using %s($a, {"search", "engine"})
+            return <r><score>{$a/@score}</score>{$a}</r>
+            sortby(score)|}
+          scorer
+      in
+      let trees s =
+        match
+          Service.Engine.exec s (Service.Engine.Query { q; mode = `Interp })
+        with
+        | Ok r -> r.Service.Engine.trees
+        | Error e -> Alcotest.failf "%s: %s" scorer (Service.Engine.error_message e)
+      in
+      List.iter
+        (fun (what, deleted, inserted) ->
+          let rebuilt =
+            Store.Db.of_documents
+              (parse_docs
+                 (List.filter (fun (n, _) -> not (List.mem n deleted)) base_docs
+                 @ inserted))
+          in
+          let delta = delta_exn base ~deleted ~inserted in
+          check (Alcotest.list string_)
+            (Printf.sprintf "%s over %s = rebuild" scorer what)
+            (trees (snapshot_exn rebuilt))
+            (trees (Service.Engine.with_delta (snapshot_exn base) delta)))
+        [
+          ("a tombstone-only delta", [ "d1.xml" ], []);
+          ("a pending insert", [], [ ("hot.xml", hot) ]);
+        ])
+    [ "tfidf"; "bm25" ]
+
+(* Domains that race to a snapshot's first interpreted query share
+   its one rebuild: the cell is not a [Lazy], which raises when two
+   domains force it at once *)
+let test_interp_rebuild_across_domains () =
+  let base = mk_base () in
+  let inserted = [ ("new.xml", doc_a) ] in
+  let snap =
+    Service.Engine.with_delta (snapshot_exn base)
+      (delta_exn base ~deleted:[ "d1.xml" ] ~inserted)
+  in
+  let rebuilt =
+    Store.Db.of_documents
+      (parse_docs
+         (List.filter (fun (n, _) -> n <> "d1.xml") base_docs @ inserted))
+  in
+  let q =
+    {|for $a in document("*")//p
+      score $a using tfidf($a, {"search"})
+      return <r><score>{$a/@score}</score>{$a}</r>
+      sortby(score)|}
+  in
+  let trees s =
+    match Service.Engine.exec s (Service.Engine.Query { q; mode = `Interp }) with
+    | Ok r -> r.Service.Engine.trees
+    | Error e -> failwith (Service.Engine.error_message e)
+  in
+  let expected = trees (snapshot_exn rebuilt) in
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let racers =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            trees snap))
+  in
+  List.iter
+    (fun d ->
+      check (Alcotest.list string_) "racing domain = rebuild" expected
+        (Domain.join d))
+    racers
+
+(* an interpreted query over its step budget is [exhausted], with or
+   without a pending delta *)
+let test_interp_budget_over_delta () =
+  let base = mk_base () in
+  let plain = snapshot_exn base in
+  let q =
+    {|for $a in document("*")//p
+      score $a using tfidf($a, {"search"})
+      return <r>{$a}</r>|}
+  in
+  List.iter
+    (fun (what, snap) ->
+      match
+        Service.Engine.exec
+          ~limits:(Core.Governor.limits ~max_steps:5 ())
+          snap
+          (Service.Engine.Query { q; mode = `Interp })
+      with
+      | Error e -> check string_ what "exhausted" (Service.Engine.error_code e)
+      | Ok _ -> Alcotest.failf "%s: 5-step budget not enforced" what)
+    [
+      ("plain snapshot", plain);
+      ( "tombstone-only delta",
+        Service.Engine.with_delta plain
+          (delta_exn base ~deleted:[ "d1.xml" ] ~inserted:[]) );
+      ( "pending insert",
+        Service.Engine.with_delta plain
+          (delta_exn base ~deleted:[] ~inserted:[ ("new.xml", doc_a) ]) );
+    ]
+
+(* One budget per request: over six base and six pending copies of one
+   article, search, phrase and ranked exceed a result cap of the
+   rebuild's total − 1 and a step budget of its steps − 1, as the
+   rebuild does, though neither segment alone would *)
+let test_budget_spans_segments () =
+  let copies prefix =
+    List.init 6 (fun i -> (Printf.sprintf "%s%d.xml" prefix i, doc_a))
+  in
+  let base = Store.Db.of_documents (parse_docs (copies "base")) in
+  let merged =
+    Service.Engine.with_delta (snapshot_exn base)
+      (delta_exn base ~deleted:[] ~inserted:(copies "new"))
+  in
+  let rebuilt =
+    snapshot_exn
+      (Store.Db.of_documents (parse_docs (copies "base" @ copies "new")))
+  in
+  List.iter
+    (fun (family, request) ->
+      let full =
+        match Service.Engine.exec rebuilt request with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: %s" family (Service.Engine.error_message e)
+      in
+      List.iter
+        (fun (budget, limits) ->
+          List.iter
+            (fun (side, snap) ->
+              match Service.Engine.exec ~limits snap request with
+              | Error (Service.Engine.Exhausted _) -> ()
+              | Ok _ ->
+                Alcotest.failf "%s over %s: %s not enforced" family side budget
+              | Error e ->
+                Alcotest.failf "%s over %s: %s" family side
+                  (Service.Engine.error_message e))
+            [ ("the rebuild", rebuilt); ("base + delta", merged) ])
+        [
+          ( "result cap",
+            Core.Governor.limits ~max_results:(full.Service.Engine.total - 1) () );
+          ( "step budget",
+            Core.Governor.limits ~max_steps:(full.Service.Engine.steps_used - 1) ()
+          );
+        ])
+    [
+      ( "search",
+        Service.Engine.Search
+          {
+            terms = [ "search"; "retrieval" ];
+            method_ = Service.Engine.Termjoin;
+            complex = false;
+            anchor = None;
+          } );
+      ("phrase", Service.Engine.Phrase { phrase = "search engine"; comp3 = false });
+      ("ranked", Service.Engine.Ranked { terms = [ "search"; "retrieval" ] });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash-point sweep: kill the process at every frame boundary of
@@ -1695,6 +2004,15 @@ let () =
           tc "query cut after tombstone filter" `Quick
             test_query_tombstoned_top_rows;
           tc "interp over delta" `Quick test_interp_over_delta;
+          tc "interp after restart" `Quick test_interp_after_restart;
+          tc "interp deadline covers rebuild" `Quick
+            test_interp_deadline_covers_rebuild;
+          tc "interp statistics over delta" `Quick
+            test_interp_statistics_over_delta;
+          tc "interp budget over delta" `Quick test_interp_budget_over_delta;
+          tc "interp rebuild across domains" `Quick
+            test_interp_rebuild_across_domains;
+          tc "one budget spans segments" `Quick test_budget_spans_segments;
         ] );
       ( "crash matrix",
         [ tc "crash-point sweep" `Quick test_crash_point_sweep ] );
