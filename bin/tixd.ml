@@ -10,9 +10,9 @@ open Cmdliner
 
 let () = Front.init_logs ()
 
-let open_live ?base ?wal_batch ?wal_linger ~dir () =
+let open_live ?base ?wal_batch ~dir () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  match Store.Live.open_dir ?base ?wal_batch ?wal_linger ~dir () with
+  match Store.Live.open_dir ?base ?wal_batch ~dir () with
   | Error e ->
     Format.eprintf "error: %s: %s@." dir (Store.Live.error_to_string e);
     exit 1
@@ -30,7 +30,7 @@ let open_live ?base ?wal_batch ?wal_linger ~dir () =
 
 let serve paths host port workers queue_depth parallelism plan_cache
     result_cache timeout max_steps max_results slow_query skip_bad wal_dir
-    wal_batch wal_linger ck_every_docs ck_every_bytes lazy_verify =
+    wal_batch ck_every_docs lazy_verify =
   if paths = [] && wal_dir = None then begin
     Format.eprintf
       "error: nothing to serve — give XML documents, a .tix image, or \
@@ -47,8 +47,7 @@ let serve paths host port workers queue_depth parallelism plan_cache
   Service.Engine.set_slow_query_threshold slow_query;
   let opened =
     Option.map
-      (fun dir ->
-        open_live ?base ~wal_batch ~wal_linger ~dir ())
+      (fun dir -> open_live ?base ~wal_batch ~dir ())
       wal_dir
   in
   let source, db =
@@ -93,7 +92,7 @@ let serve paths host port workers queue_depth parallelism plan_cache
     Option.map
       (fun o ->
         Service.Updates.create ?every_docs:ck_every_docs
-          ?every_bytes:ck_every_bytes ~live:o.Store.Live.live ~scheduler ())
+          ~live:o.Store.Live.live ~scheduler ())
       opened
   in
   let server = Service.Server.start ~host ~port ?updates scheduler in
@@ -236,15 +235,6 @@ let wal_batch_arg =
           "Group-commit batch cap: up to N concurrently queued mutations \
            share one WAL write and fsync. 1 restores per-op fsync.")
 
-let wal_linger_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "wal-linger" ] ~docv:"SECONDS"
-        ~doc:
-          "Bounded wait before a group-commit leader takes its batch, giving \
-           more writers time to join. 0 (the default) relies on natural \
-           batching during the previous fsync.")
-
 let ck_every_docs_arg =
   Arg.(
     value
@@ -253,15 +243,6 @@ let ck_every_docs_arg =
         ~doc:
           "Trigger a background checkpoint automatically once the delta \
            holds N documents + tombstones.")
-
-let ck_every_bytes_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "checkpoint-every-bytes" ] ~docv:"N"
-        ~doc:
-          "Trigger a background checkpoint automatically once the live WAL \
-           reaches N bytes.")
 
 let lazy_verify_arg =
   Arg.(
@@ -286,5 +267,5 @@ let () =
             const serve $ paths_arg $ host_arg $ port_arg $ workers_arg
             $ queue_arg $ parallelism_arg $ plan_cache_arg $ result_cache_arg
             $ timeout_arg $ max_steps_arg $ max_results_arg $ slow_query_arg
-            $ skip_bad_arg $ wal_dir_arg $ wal_batch_arg $ wal_linger_arg
-            $ ck_every_docs_arg $ ck_every_bytes_arg $ lazy_verify_arg)))
+            $ skip_bad_arg $ wal_dir_arg $ wal_batch_arg $ ck_every_docs_arg
+            $ lazy_verify_arg)))

@@ -458,38 +458,16 @@ let print_response ~pretty resp =
         Format.eprintf "error [%s]: %s@." code message;
         exit 1
       | _ -> begin
-        (match Service.Json.(Option.bind (member "results" json) to_list_opt) with
-        | Some rows ->
+        match Service.Protocol.result_of_json json with
+        | Error _ -> print_endline resp
+        | Ok r ->
           List.iteri
-            (fun i row ->
-              let str name =
-                Option.value ~default:"?"
-                  Service.Json.(Option.bind (member name row) to_string_opt)
-              in
-              let num name =
-                Option.value ~default:0
-                  Service.Json.(Option.bind (member name row) to_int_opt)
-              in
-              let score =
-                Option.value ~default:0.
-                  Service.Json.(Option.bind (member "score" row) to_float_opt)
-              in
+            (fun i (row : Service.Engine.row) ->
               Format.printf "%2d. %-14s doc=%d start=%d score=%.3f@." (i + 1)
-                (str "tag") (num "doc") (num "start") score)
-            rows
-        | None -> ());
-        (match Service.Json.(Option.bind (member "trees" json) to_list_opt) with
-        | Some trees ->
-          List.iter
-            (fun t ->
-              match Service.Json.to_string_opt t with
-              | Some s -> print_string s
-              | None -> ())
-            trees
-        | None -> ());
-        match Service.Json.(Option.bind (member "total" json) to_int_opt) with
-        | Some total -> Format.printf "(%d results)@." total
-        | None -> print_endline resp
+                row.tag row.doc row.start row.score)
+            r.rows;
+          List.iter print_string r.trees;
+          Format.printf "(%d results)@." r.total
       end
     end
   end

@@ -75,10 +75,10 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
           prefix.(i) <- (if i = 0 then 0. else prefix.(i - 1)) +. s.t_bound)
         st;
       (* lower doc ids win score ties, so the K-th rank is cut by the
-         same (score desc, doc asc) total order the final sort and the
-         parallel merge use — without this the heap would keep an
-         arbitrary tied doc and partitioned execution could disagree
-         with sequential *)
+         same (score desc, doc asc) total order the result is listed
+         in and the parallel merge uses — without this the heap would
+         keep an arbitrary tied doc and partitioned execution could
+         disagree with sequential *)
       let heap = Core.Top_k.create ~tie:(fun a b -> compare b a) k in
       let theta () =
         match Core.Top_k.cutoff heap with Some c -> c | None -> neg_infinity
@@ -234,8 +234,7 @@ let top_k_docs_inner ?(use_skips = true) ?weights ?doc_range ?shared_threshold
         end
       in
       loop ();
-      List.sort Core.Merge.compare_doc_score
-        (List.map (fun (s, d) -> (d, s)) (Core.Top_k.to_sorted_list heap))
+      List.map (fun (s, d) -> (d, s)) (Core.Top_k.to_sorted_list heap)
     end
   end
 

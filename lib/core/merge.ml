@@ -1,40 +1,14 @@
-(* Backend-agnostic deterministic merge for partitioned execution.
+(* The monotone θ threshold that makes cross-range pruning sound.
 
-   One query fanned out over disjoint ascending doc ranges — whether
-   the ranges are local partitions on domains (lib/exec) or remote
-   shards behind a coordinator (lib/dist) — merges back with exactly
-   two rules:
-
-   - structural families (TermJoin, GenMeet, PhraseFinder) return
-     document-ordered results per range, so concatenation in range
-     order IS the global document order;
-   - ranked top-k returns each range's local top-k under the total
-     order (score desc, doc asc); the union re-sorted under the same
-     order and truncated to k is exactly the unpartitioned answer,
-     ties included, because ranges are disjoint (no duplicate docs).
-
-   The monotone θ threshold that makes cross-range pruning sound lives
-   here too ({!Theta}), so local domains and remote shards share one
-   implementation of the invariant: θ only ever rises, it is always ≤
-   the final global cutoff, and pruning compares STRICTLY ([bound <
-   θ]) because a score exactly equal to the final cutoff can still win
-   the global doc-id tie-break. *)
-
-let compare_doc_score (d1, s1) (d2, s2) =
-  match compare (s2 : float) s1 with 0 -> compare (d1 : int) d2 | c -> c
-
-let concat_in_order vals =
-  let xs = List.concat (Array.to_list vals) in
-  (xs, List.length xs)
-
-let top_k ~compare:cmp ~k xs =
-  List.filteri (fun i _ -> i < k) (List.sort cmp xs)
-
-let merge_ranked ~k vals =
-  let top =
-    top_k ~compare:compare_doc_score ~k (List.concat (Array.to_list vals))
-  in
-  (top, List.length top)
+   One ranked query fanned out over disjoint ascending doc ranges —
+   local partitions on domains (lib/exec) or remote shards behind a
+   coordinator (lib/dist) — prunes against one threshold, so both
+   share one implementation of the invariant: θ only ever rises, it
+   is always ≤ the final global cutoff, and pruning compares STRICTLY
+   ([bound < θ]) because a score exactly equal to the final cutoff can
+   still win the global doc-id tie-break. Each backend merges its
+   ranges' answers through a {!Top_k} heap with the single run's tie
+   order, so the merged answer is the unpartitioned one. *)
 
 module Theta = struct
   type t = float Atomic.t
@@ -50,6 +24,4 @@ module Theta = struct
       if c > cur && not (Atomic.compare_and_set t cur c) then bump ()
     in
     bump ()
-
-  let prunes t bound = bound < Atomic.get t
 end

@@ -1,30 +1,9 @@
-(** Deterministic merge rules and the monotone θ threshold shared by
-    every partitioned backend: local domain fan-out ({!Exec.Par}) and
-    remote shard scatter-gather ({!Dist.Coordinator}) merge through
-    this one implementation, so the invariants cannot diverge.
-
-    All functions assume the per-range inputs come from disjoint
-    ascending doc ranges that cover the corpus; under that premise the
-    merged output is byte-identical to the unpartitioned answer, ties
-    included. *)
-
-val compare_doc_score : int * float -> int * float -> int
-(** The ranked total order: score descending, doc id ascending on
-    ties. This exact comparator cuts the k-th rank locally, sorts the
-    final answer, and merges across ranges. *)
-
-val concat_in_order : 'a list array -> 'a list * int
-(** Merge document-ordered per-range results over disjoint ascending
-    ranges: concatenation in range order, with the output
-    cardinality. *)
-
-val top_k : compare:('a -> 'a -> int) -> k:int -> 'a list -> 'a list
-(** Sort under [compare] and keep the first [k]. *)
-
-val merge_ranked : k:int -> (int * float) list array -> (int * float) list * int
-(** Merge per-range ranked top-k lists: union, re-sort under
-    {!compare_doc_score}, truncate to [k]; with the output
-    cardinality. *)
+(** The monotone θ threshold shared by every partitioned backend:
+    local domain fan-out ({!Exec.Par}) and remote shard
+    scatter-gather ({!Dist.Coordinator}) prune against this one
+    implementation, so the invariant cannot diverge. Both merge their
+    ranges' answers through a {!Top_k} heap whose tie order is the
+    unpartitioned run's. *)
 
 (** Monotone shared pruning threshold. Each range publishes its local
     k-th-best score; θ is the running max, so it is always ≤ the final
@@ -43,9 +22,4 @@ module Theta : sig
   val publish : t -> float -> unit
   (** Monotone max: raises θ to the given cutoff if higher, never
       lowers it. Safe under concurrent publishers (CAS retry). *)
-
-  val prunes : t -> float -> bool
-  (** [prunes t bound] is [bound < get t]: true when a candidate whose
-      score ceiling is [bound] provably cannot appear in (or reorder)
-      the merged top-k. *)
 end

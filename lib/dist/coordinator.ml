@@ -101,119 +101,61 @@ let scatter t idxs make_json =
   Array.to_list results
 
 (* ------------------------------------------------------------------ *)
-(* Response decoding *)
-
-let mem name conv ~default j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> v
-  | None -> default
-
-let row_of_json ~lo j : Engine.row =
-  {
-    tag = mem "tag" Json.to_string_opt ~default:"?" j;
-    doc = lo + mem "doc" Json.to_int_opt ~default:0 j;
-    start = mem "start" Json.to_int_opt ~default:(-1) j;
-    score = mem "score" Json.to_float_opt ~default:0. j;
-  }
+(* Shard answers *)
 
 type shard_result = {
-  sr_shard : int;
-  sr_endpoint : Shard_map.endpoint;
-  sr_rows : Engine.row list;  (* doc ids already global *)
-  sr_trees : string list;
-  sr_total : int;
-  sr_cached : bool;
-  sr_steps : int;
-  sr_plan : string option;
-  sr_limit : int option;
-  sr_trace : Json.t option;
+  shard : int;
+  endpoint : Shard_map.endpoint;
+  result : Engine.result;  (* document ids already global *)
 }
 
-(* A shard's answer is either unreachable (infrastructure), a
-   protocol-level error object (the query itself failed — every shard
-   fails the same way, so one is forwarded verbatim), or a decoded
-   result with document ids lifted into the global space. *)
+(* A shard's answer is either unreachable (infrastructure, or an
+   answer that does not decode), a protocol-level error object (the
+   query itself failed — every shard fails the same way, so one is
+   forwarded verbatim), or a decoded result with document ids lifted
+   into the global space. *)
 type outcome =
   | Unreachable of int * string
   | Refused of int * Json.t
   | Answered of shard_result
 
-let decode_outcome t (i, result) =
-  match result with
-  | Error msg -> Unreachable (i, msg)
-  | Ok (endpoint, json) ->
-    if not (mem "ok" Json.to_bool_opt ~default:false json) then Refused (i, json)
-    else begin
-      let lo = (Shard_map.shard t.map i).Shard_map.lo in
-      let rows =
-        mem "results" Json.to_list_opt ~default:[] json
-        |> List.map (row_of_json ~lo)
-      in
-      let trees =
-        mem "trees" Json.to_list_opt ~default:[] json
-        |> List.filter_map Json.to_string_opt
-      in
-      Answered
-        {
-          sr_shard = i;
-          sr_endpoint = endpoint;
-          sr_rows = rows;
-          sr_trees = trees;
-          sr_total = mem "total" Json.to_int_opt ~default:0 json;
-          sr_cached = mem "cached" Json.to_bool_opt ~default:false json;
-          sr_steps = mem "steps_used" Json.to_int_opt ~default:0 json;
-          sr_plan = Option.bind (Json.member "plan" json) Json.to_string_opt;
-          sr_limit = Option.bind (Json.member "limit" json) Json.to_int_opt;
-          sr_trace = Json.member "trace" json;
-        }
-    end
+let is_ok json = Json.member "ok" json = Some (Json.Bool true)
 
-let rec span_of_json j : Core.Trace.span =
-  {
-    name = mem "op" Json.to_string_opt ~default:"?" j;
-    input = mem "input" Json.to_int_opt ~default:(-1) j;
-    output = mem "output" Json.to_int_opt ~default:(-1) j;
-    est = mem "est" Json.to_int_opt ~default:(-1) j;
-    gov_steps = mem "steps" Json.to_int_opt ~default:(-1) j;
-    elapsed_ns = mem "elapsed_ns" Json.to_int_opt ~default:0 j;
-    attrs =
-      (match Json.member "attrs" j with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_string_opt v))
-          fields
-      | _ -> []);
-    children =
-      mem "children" Json.to_list_opt ~default:[] j |> List.map span_of_json;
-  }
+let decode_outcome t (i, outcome) =
+  match outcome with
+  | Error msg -> Unreachable (i, msg)
+  | Ok (_, json) when not (is_ok json) -> Refused (i, json)
+  | Ok (endpoint, json) -> (
+    match Protocol.result_of_json json with
+    | Error msg ->
+      Unreachable (i, Printf.sprintf "shard %d: bad answer: %s" i msg)
+    | Ok r ->
+      let lo = (Shard_map.shard t.map i).Shard_map.lo in
+      let lift (row : Engine.row) = { row with doc = lo + row.doc } in
+      let result = { r with rows = List.map lift r.rows } in
+      Answered { shard = i; endpoint; result })
 
 (* EXPLAIN ANALYZE across the wire: each shard's span tree is grafted
    under a synthetic [Shard] node inside one [Scatter] root, so a
    traced distributed query reads as one tree from fan-out to leaf
    operator. *)
 let scatter_span ~elapsed_ns ~output ~steps answered =
-  let children =
-    List.map
-      (fun sr ->
-        {
-          Core.Trace.name = "Shard";
-          input = -1;
-          output = -1;
-          est = -1;
-          gov_steps = sr.sr_steps;
-          elapsed_ns =
-            (match sr.sr_trace with
-            | Some tj -> (span_of_json tj).Core.Trace.elapsed_ns
-            | None -> 0);
-          attrs =
-            [
-              ("shard", string_of_int sr.sr_shard);
-              ("endpoint", Shard_map.endpoint_to_string sr.sr_endpoint);
-            ];
-          children =
-            (match sr.sr_trace with Some tj -> [ span_of_json tj ] | None -> []);
-        })
-      answered
+  let shard_span a =
+    {
+      Core.Trace.name = "Shard";
+      input = -1;
+      output = -1;
+      est = -1;
+      gov_steps = a.result.steps_used;
+      elapsed_ns =
+        (match a.result.trace with Some sp -> sp.elapsed_ns | None -> 0);
+      attrs =
+        [
+          ("shard", string_of_int a.shard);
+          ("endpoint", Shard_map.endpoint_to_string a.endpoint);
+        ];
+      children = Option.to_list a.result.trace;
+    }
   in
   {
     Core.Trace.name = "Scatter";
@@ -223,84 +165,13 @@ let scatter_span ~elapsed_ns ~output ~steps answered =
     gov_steps = steps;
     elapsed_ns;
     attrs = [];
-    children;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Merging *)
-
-let truncate k rows =
-  match k with
-  | None -> rows
-  | Some k when k < 0 -> rows
-  | Some k -> List.filteri (fun i _ -> i < k) rows
-
-let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
-
-(* Deterministic gather of per-shard answers into the single-node
-   result. Rows re-sort under the engine's row order (score desc,
-   global doc, start): each shard returned its local prefix of that
-   order and global ids preserve per-shard doc order, so the union's
-   top slice is exactly the single-node top slice — ties included.
-   Interpreter trees concatenate in shard order, which is global
-   document order. *)
-let merge_answers ~k ~ranked_k ~trace ~t0 answered =
-  let answered = List.sort (fun a b -> compare a.sr_shard b.sr_shard) answered in
-  let rows =
-    List.sort Engine.compare_row (List.concat_map (fun sr -> sr.sr_rows) answered)
-  in
-  let trees = List.concat_map (fun sr -> sr.sr_trees) answered in
-  let plan = List.find_map (fun sr -> sr.sr_plan) answered in
-  let steps = sum (fun sr -> sr.sr_steps) answered in
-  (* The compiled plan's row limit, a response field of every shard.
-     Per-shard executions each apply it locally, so the gathered union
-     can hold up to [shards * L] rows: re-applied here, it bounds both
-     the row list and the reported total — min(L, sum of per-shard
-     totals) equals the single-node total whether or not any shard
-     saturated its local limit. *)
-  let limit = List.find_map (fun sr -> sr.sr_limit) answered in
-  let rows = truncate limit rows in
-  let total =
-    let s = sum (fun sr -> sr.sr_total) answered in
-    match ranked_k, limit with
-    | Some _, _ -> List.length (truncate ranked_k rows)
-    | None, Some l -> min l s
-    | None, None -> s
-  in
-  let rows = truncate ranked_k (truncate k rows) in
-  let trees = truncate k trees in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  {
-    Engine.rows;
-    trees;
-    total;
-    limit;
-    cached = answered <> [] && List.for_all (fun sr -> sr.sr_cached) answered;
-    plan;
-    timings = [ ("scatter", elapsed); ("total", elapsed) ];
-    steps_used = steps;
-    trace =
-      (if trace then
-         Some
-           (scatter_span
-              ~elapsed_ns:(int_of_float (elapsed *. 1e9))
-              ~output:(List.length rows) ~steps answered)
-       else None);
+    children = List.map shard_span answered;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
 
 let all_shards t = List.init (Shard_map.shard_count t.map) Fun.id
-
-(* Replace any client-supplied θ with the coordinator's current one
-   (the client's seed is already folded into the relay state). *)
-let json_with_theta base theta =
-  match base, theta with
-  | Json.Obj fields, Some th when th > neg_infinity ->
-    let fields = List.filter (fun (name, _) -> name <> "theta") fields in
-    Json.Obj (fields @ [ ("theta", Json.Float th) ])
-  | j, _ -> j
 
 (* Partition scatter outcomes; a Refused (well-formed error response)
    anywhere wins — the query itself is at fault and every shard
@@ -331,79 +202,145 @@ let unavailable_error unreachable =
     ~message:
       (String.concat "; " (List.map snd unreachable))
 
-let respond t ~k ~ranked_k ~trace ~t0 outcomes =
-  let unreachable, refused, answered = split_outcomes outcomes in
-  match refused, answered with
-  | (_, err) :: _, _ -> err
-  | [], [] -> unavailable_error unreachable
-  | [], _ ->
-    if unreachable <> [] then begin
-      Atomic.incr t.degraded;
-      Log.warn (fun m ->
-          m "serving degraded results: %d shard(s) unreachable"
-            (List.length unreachable))
-    end;
-    let result = merge_answers ~k ~ranked_k ~trace ~t0 answered in
-    Protocol.result_to_json ~extra:(degraded_extra unreachable) result
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
-(* Structural families (query, search, phrase): one wave over every
-   shard; per-shard answers are complete for their range, so a single
-   concurrent fan-out is latency-optimal. *)
-let exec_structural t ~k ~trace base_json =
-  let t0 = Unix.gettimeofday () in
-  let outcomes =
-    scatter t (all_shards t) (fun _ -> base_json)
-    |> List.map (decode_outcome t)
-  in
-  respond t ~k ~ranked_k:None ~trace ~t0 outcomes
+let plan_limit outcomes =
+  List.find_map
+    (function Answered a -> a.result.limit | Unreachable _ | Refused _ -> None)
+    outcomes
 
-(* Ranked top-k: scatter in waves of [window] shards (0 = one wave).
-   After each wave the k-th best score gathered so far is published
+(* A scatter over the shards that ends in the single node's own rules.
+   Every shard's rows go into one Top_k heap ordered as
+   [Engine.compare_row] orders rows and sized as [Engine.exec] sizes
+   its selector: k rows ([Engine.row_cap]), at most [limit] — ranked's
+   k ([Engine.ranked_k]) or the compiled plan's [stop after], which
+   every shard reports. [total] is [min limit (Σ shard totals)]: a
+   shard that saturates [limit] saturates the union. Interpreter
+   trees concatenate in shard order, which is global document order.
+
+   Search, phrase and ranked check the result cap once, against the
+   merged [total], as the single node does, so their shards run
+   without it. A compiled or interpreted plan checks the cap on its
+   intermediate counts per segment, so queries forward it. Steps are
+   counted per process, so [max_steps] stays per shard.
+
+   Ranked scatters in waves of [window] shards (0 = one wave), and the
+   heap spans the waves: once it holds k rows, its cutoff is published
    as θ and relayed to later waves, whose shards prune every document
    whose score bound falls strictly below it — the cross-shard
    instance of the monotone-threshold contract in {!Core.Merge.Theta}:
    θ only rises, never above the final k-th best, and equality is
    kept, so late shards skip work without ever losing a winner. *)
-let exec_ranked t ~k ~theta ~trace base_json =
+let exec t ~req ~k ~(limits : Core.Governor.limits) ~trace ~parallelism
+    ~theta =
   let t0 = Unix.gettimeofday () in
-  let kk = match k with Some k when k > 0 -> k | _ -> 10 in
-  let shards = all_shards t in
-  let nshards = List.length shards in
-  let window =
-    if t.window <= 0 then nshards else min t.window nshards
+  (* per family: the cap checked here, the wave size, ranked's limit *)
+  let cap_check, window, ranked_limit =
+    let all = Shard_map.shard_count t.map in
+    match req with
+    | Engine.Query _ -> (None, all, None)
+    | Engine.Search _ | Engine.Phrase _ -> (limits.max_results, all, None)
+    | Engine.Ranked _ ->
+      ( limits.max_results,
+        (if t.window > 0 then t.window else all),
+        Some (Engine.ranked_k k) )
   in
+  let forwarded =
+    match cap_check with
+    | Some _ -> { limits with max_results = None }
+    | None -> limits
+  in
+  let gov =
+    Core.Governor.start
+      { Core.Governor.unlimited with max_results = cap_check }
+  in
+  let take = List.filteri (fun i _ -> i < window) in
+  let drop = List.filteri (fun i _ -> i >= window) in
   let theta_state = Core.Merge.Theta.make ?seed:theta () in
-  let rec waves pending acc_rows acc_outcomes =
-    match pending with
-    | [] -> List.rev acc_outcomes
-    | _ ->
-      let wave = List.filteri (fun i _ -> i < window) pending in
-      let rest = List.filteri (fun i _ -> i >= window) pending in
-      let th = Core.Merge.Theta.get theta_state in
-      let json =
-        json_with_theta base_json (if th > neg_infinity then Some th else None)
-      in
-      let outcomes =
-        scatter t wave (fun _ -> json) |> List.map (decode_outcome t)
-      in
-      let acc_rows =
-        List.fold_left
-          (fun acc o ->
-            match o with Answered sr -> sr.sr_rows @ acc | _ -> acc)
-          acc_rows outcomes
-      in
-      (* publish the gathered k-th best before the next wave *)
-      (match
-         truncate (Some kk) (List.sort Engine.compare_row acc_rows)
-         |> List.rev
-       with
-      | ({ score; _ } : Engine.row) :: _ when List.length acc_rows >= kk ->
-        Core.Merge.Theta.publish theta_state score
-      | _ -> ());
-      waves rest acc_rows (List.rev_append outcomes acc_outcomes)
+  let run_wave shards =
+    let th = Core.Merge.Theta.get theta_state in
+    let theta = if th > neg_infinity then Some th else None in
+    let json =
+      Protocol.request_to_json
+        (Protocol.Exec
+           { req; k; limits = forwarded; trace; parallelism; theta })
+    in
+    scatter t shards (fun _ -> json) |> List.map (decode_outcome t)
   in
-  let outcomes = waves shards [] [] in
-  respond t ~k ~ranked_k:(Some kk) ~trace ~t0 outcomes
+  let first = run_wave (take (all_shards t)) in
+  let limit =
+    match ranked_limit with Some _ -> ranked_limit | None -> plan_limit first
+  in
+  let cap = min (Engine.row_cap k) (Option.value ~default:max_int limit) in
+  (* a shard returns at most [cap] rows, so with [cap = 0] none arrive *)
+  let heap =
+    Core.Top_k.create ~tie:(fun a b -> Engine.compare_row b a) (max 1 cap)
+  in
+  let gather outcomes =
+    List.iter
+      (function
+        | Answered a ->
+          List.iter
+            (fun (r : Engine.row) -> Core.Top_k.add heap ~score:r.score r)
+            a.result.rows
+        | Unreachable _ | Refused _ -> ())
+      outcomes;
+    Option.iter
+      (Core.Merge.Theta.publish theta_state)
+      (Core.Top_k.cutoff heap);
+    outcomes
+  in
+  let rec waves pending gathered =
+    match pending with
+    | [] -> List.concat (List.rev gathered)
+    | _ -> waves (drop pending) (gather (run_wave (take pending)) :: gathered)
+  in
+  let outcomes = waves (drop (all_shards t)) [ gather first ] in
+  let unreachable, refused, answered = split_outcomes outcomes in
+  match refused, answered with
+  | (_, err) :: _, _ -> err
+  | [], [] -> unavailable_error unreachable
+  | [], _ -> (
+    let steps = sum (fun a -> a.result.steps_used) answered in
+    let total =
+      let s = sum (fun a -> a.result.total) answered in
+      match limit with Some l -> min l s | None -> s
+    in
+    match
+      Core.Governor.tick_n gov steps;
+      Core.Governor.check_results gov total
+    with
+    | exception Core.Governor.Resource_exhausted v ->
+      Protocol.engine_error_to_json (Engine.Exhausted v)
+    | () ->
+      if unreachable <> [] then begin
+        Atomic.incr t.degraded;
+        Log.warn (fun m ->
+            m "serving degraded results: %d shard(s) unreachable"
+              (List.length unreachable))
+      end;
+      let rows = List.map snd (Core.Top_k.to_sorted_list heap) in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Protocol.result_to_json ~extra:(degraded_extra unreachable)
+        {
+          Engine.rows;
+          trees =
+            List.concat_map (fun a -> a.result.trees) answered
+            |> List.filteri (fun i _ -> i < Engine.row_cap k);
+          total;
+          limit = plan_limit outcomes;
+          cached = List.for_all (fun a -> a.result.cached) answered;
+          plan = List.find_map (fun a -> a.result.plan) answered;
+          timings = [ ("scatter", elapsed); ("total", elapsed) ];
+          steps_used = steps;
+          trace =
+            (if trace then
+               Some
+                 (scatter_span
+                    ~elapsed_ns:(int_of_float (elapsed *. 1e9))
+                    ~output:(List.length rows) ~steps answered)
+             else None);
+        })
 
 (* ------------------------------------------------------------------ *)
 (* Non-exec ops *)
@@ -412,6 +349,10 @@ let forward_one t json =
   match shard_request t 0 json with
   | Ok (_, response) -> response
   | Error msg -> Protocol.error_to_json ~code:"unavailable" ~message:msg
+
+let generation j =
+  Option.value ~default:0
+    (Option.bind (Json.member "generation" j) Json.to_int_opt)
 
 let shard_health t =
   let outcomes = scatter t (all_shards t) (fun _ -> Json.Obj [ ("op", Json.String "health") ]) in
@@ -432,10 +373,8 @@ let shard_health t =
             (base
             @ [
                 ("endpoint", Json.String (Shard_map.endpoint_to_string ep));
-                ("ok", Json.Bool (mem "ok" Json.to_bool_opt ~default:false response));
-                ( "generation",
-                  Json.Int (mem "generation" Json.to_int_opt ~default:0 response)
-                );
+                ("ok", Json.Bool (is_ok response));
+                ("generation", Json.Int (generation response));
               ])
         | Error msg ->
           Json.Obj
@@ -451,7 +390,7 @@ let health t =
   let entries, down = shard_health t in
   let generation =
     List.fold_left
-      (fun acc e -> max acc (mem "generation" Json.to_int_opt ~default:0 e))
+      (fun acc e -> max acc (generation e))
       0 entries
   in
   let shards =
@@ -508,15 +447,18 @@ let prepare t q =
   match forward_one t (Json.Obj [ ("op", Json.String "explain"); ("q", Json.String q) ]) with
   | Json.Obj fields as response ->
     if List.assoc_opt "ok" fields = Some (Json.Bool true) then
+      (* keyed as [Scheduler.prepare] keys: two spellings of one query
+         share an id *)
+      let key = Engine.canonical_key (Engine.Query { q; mode = `Engine }) in
       let id =
         Mutex.protect t.prepared_lock (fun () ->
-            match Hashtbl.find_opt t.prepared_ids q with
+            match Hashtbl.find_opt t.prepared_ids key with
             | Some id -> id
             | None ->
               let id = t.next_prepared in
               t.next_prepared <- id + 1;
               Hashtbl.replace t.prepared id q;
-              Hashtbl.replace t.prepared_ids q id;
+              Hashtbl.replace t.prepared_ids key id;
               id)
       in
       Protocol.ok_prepared_to_json id
@@ -534,14 +476,8 @@ let read_only_error =
 
 let handle t (req : Protocol.request) =
   match req with
-  | Protocol.Exec ({ req = engine_req; k; trace; theta; _ } as e) ->
-    let base_json = Protocol.request_to_json (Protocol.Exec e) in
-    begin
-      match engine_req with
-      | Engine.Ranked _ -> exec_ranked t ~k ~theta ~trace base_json
-      | Engine.Query _ | Engine.Search _ | Engine.Phrase _ ->
-        exec_structural t ~k ~trace base_json
-    end
+  | Protocol.Exec { req; k; limits; trace; parallelism; theta } ->
+    exec t ~req ~k ~limits ~trace ~parallelism ~theta
   | Protocol.Explain _ -> forward_one t (Protocol.request_to_json req)
   | Protocol.Prepare { q } -> prepare t q
   | Protocol.Execute { id; k; limits; trace; parallelism } -> begin
@@ -549,18 +485,8 @@ let handle t (req : Protocol.request) =
       Mutex.protect t.prepared_lock (fun () -> Hashtbl.find_opt t.prepared id)
     with
     | Some q ->
-      let exec_req =
-        Protocol.Exec
-          {
-            req = Engine.Query { q; mode = `Engine };
-            k;
-            limits;
-            trace;
-            parallelism;
-            theta = None;
-          }
-      in
-      exec_structural t ~k ~trace (Protocol.request_to_json exec_req)
+      exec t ~req:(Engine.Query { q; mode = `Engine }) ~k ~limits ~trace
+        ~parallelism ~theta:None
     | None ->
       Protocol.error_to_json ~code:"unknown_statement"
         ~message:(Printf.sprintf "no prepared statement %d" id)

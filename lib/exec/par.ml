@@ -10,8 +10,8 @@
      so the merge is concatenation in chunk order — byte-identical to
      the sequential document-order output;
    - ranked top-k chunks each return their local top-k under the total
-     order (score desc, doc asc); the merge re-sorts the union under
-     the same order and keeps k. Cross-chunk max-score pruning shares
+     order (score desc, doc asc); the merge feeds them into one top-k
+     heap under the same order. Cross-chunk max-score pruning shares
      the best k-th score seen by any chunk through an atomic
      ([Ranked.top_k_docs ~shared_threshold]), which only ever prunes
      documents strictly below the final cutoff — the merged result is
@@ -102,16 +102,11 @@ let ticker gov =
   | Some g -> fun () -> Core.Governor.tick g
   | None -> fun () -> ()
 
-(* Per-chunk results are document-sorted over disjoint ascending
-   ranges: concatenation in chunk order IS the global document order.
-   Both merge rules live in Core.Merge, shared with the distributed
-   coordinator so local and remote partitioning cannot diverge. *)
-let concat_in_order = Core.Merge.concat_in_order
-
 (* Fan a document-ordered node stream out over [ranges]: each chunk
    runs [run ~trace ~doc_range ~emit] on its own domain, ticks its
-   governor per emitted node and sorts its nodes into document order;
-   the merge concatenates the chunks in order. *)
+   governor per emitted node and sorts its nodes into document order.
+   The ranges are disjoint and ascending, so concatenation in chunk
+   order IS the global document order. *)
 let document_ordered ~trace ~shared ~parallelism ~method_ ~ranges run =
   fan_out ~trace ~shared ~parallelism ~method_ ~ranges
     ~body:(fun ~gov ~trace doc_range ->
@@ -123,7 +118,9 @@ let document_ordered ~trace ~shared ~parallelism ~method_ ~ranges run =
             acc := nd :: !acc)
       in
       List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
+    ~merge:(fun vals ->
+      let nodes = List.concat (Array.to_list vals) in
+      (nodes, List.length nodes))
 
 let score ?(trace = Core.Trace.disabled) ?shared ?ranges ?mode ?weights
     ~parallelism access ctx ~terms =
@@ -169,4 +166,14 @@ let top_k_docs ?(trace = Core.Trace.disabled) ?shared ?ranges ?weights ?theta
       | Some g -> Core.Governor.tick_n g (List.length docs)
       | None -> ());
       docs)
-    ~merge:(Core.Merge.merge_ranked ~k)
+    ~merge:(fun vals ->
+      (* every chunk's local top-k into one heap whose tie puts the
+         lower document id first, as the sequential run's does *)
+      let heap = Core.Top_k.create ~tie:(fun a b -> compare b a) (max 1 k) in
+      Array.iter
+        (List.iter (fun (d, s) -> Core.Top_k.add heap ~score:s d))
+        vals;
+      let top =
+        List.map (fun (s, d) -> (d, s)) (Core.Top_k.to_sorted_list heap)
+      in
+      (top, List.length top))

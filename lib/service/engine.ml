@@ -289,8 +289,8 @@ type selector = {
   mutable live : int;  (** surviving nodes: the result's [total] *)
 }
 
-(* [k] as a row cap: [None] or a negative [k] keeps every row *)
-let cap_of = function Some k when k >= 0 -> k | Some _ | None -> max_int
+let row_cap = function Some k when k >= 0 -> k | Some _ | None -> max_int
+let ranked_k = function Some k when k > 0 -> k | Some _ | None -> 10
 
 let selector cap =
   {
@@ -383,11 +383,6 @@ let governed sh ~par ~partitioned ~sequential ~emit =
     Core.Governor.tick_n gov (sequential emit);
     Core.Governor.settle gov
   end
-
-let truncate k l =
-  match k with
-  | Some k when k >= 0 -> List.filteri (fun i _ -> i < k) l
-  | Some _ | None -> l
 
 (* A fresh execution's answer; {!exec} adds the stage times and the
    span tree. *)
@@ -498,8 +493,9 @@ let exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode =
                 Core.Governor.steps governor ))
         in
         Ok
-          (answer ~trees:(truncate k trees) ~steps ~total:(List.length trees)
-             [])
+          (answer
+             ~trees:(List.filteri (fun i _ -> i < row_cap k) trees)
+             ~steps ~total:(List.length trees) [])
     in
     (* After a costed plan ran: stamp its row estimate onto the span
        tree (EXPLAIN's est-vs-actual column) and feed the observed
@@ -539,7 +535,7 @@ let exec_query ~caches ~limits ~tracer ~record ~k snapshot ~q ~mode =
       let limit =
         match plan.limit with Some l -> max 0 l | None -> max_int
       in
-      let sel = selector (min limit (cap_of k)) in
+      let sel = selector (min limit (row_cap k)) in
       let rows =
         stage "execute" (fun () ->
             Query.Compile.query_span ~trace:tracer ~governor:gov plan
@@ -603,11 +599,14 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
   let result_key =
     (* a θ hint legitimately prunes ranked answers below the relayed
        cutoff, so hinted and unhinted runs must never share a cache
-       entry *)
-    Printf.sprintf "g%d|k%s|t%s|%s" snapshot.generation
-      (match k with None -> "*" | Some k -> string_of_int k)
+       entry; nor may runs under different step or result caps, or a
+       hit would answer a request its own limits reject. A hit costs
+       no time, so the timeout stays out of the key. *)
+    let int_opt = function None -> "*" | Some n -> string_of_int n in
+    Printf.sprintf "g%d|k%s|t%s|s%s|r%s|%s" snapshot.generation (int_opt k)
       (match theta with None -> "*" | Some t -> Printf.sprintf "%h" t)
-      (canonical_key request)
+      (int_opt limits.Core.Governor.max_steps)
+      (int_opt limits.max_results) (canonical_key request)
   in
   let cached_result =
     (* a traced request must actually execute: bypass the result
@@ -749,7 +748,7 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           in
           let rows, total, steps =
             timed record "execute" (fun () ->
-                select_nodes ~cap:(cap_of k) ~name:tag_label
+                select_nodes ~cap:(row_cap k) ~name:tag_label
                   (fun sh _ ctx ~emit ->
                     governed sh ~par ~emit ~sequential:(sequential ctx)
                       ~partitioned:(fun shared ->
@@ -787,7 +786,7 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
           let rows, total, steps =
             timed record "execute" (fun () ->
-                select_nodes ~cap:(cap_of k) ~name:tag_label
+                select_nodes ~cap:(row_cap k) ~name:tag_label
                   (fun sh _ ctx ~emit ->
                     governed sh ~par ~emit
                       ~partitioned:(fun shared ->
@@ -808,7 +807,7 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           Error (Bad_request "ranked needs at least one non-empty term")
         else begin
           Metrics.incr (op_counter "ranked");
-          let kk = match k with Some k when k > 0 -> k | _ -> 10 in
+          let kk = ranked_k k in
           (* Route through the planner like search does: the access
              choice itself does not apply (ranked scans doc-level
              postings), but the degree degrades when the estimated
@@ -830,7 +829,7 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
              candidates that survive. *)
           let rows, total, steps =
             timed record "execute" (fun () ->
-                select_nodes ~limit:kk ~cap:(min kk (cap_of k))
+                select_nodes ~limit:kk ~cap:(min kk (row_cap k))
                   ~name:document_label
                   (fun sh db ctx ~emit ->
                     let k =

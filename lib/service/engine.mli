@@ -127,6 +127,15 @@ val compare_row : row -> row -> int
     result family emits. Exposed so the cross-shard gather reproduces
     single-run output exactly. *)
 
+val row_cap : int option -> int
+(** A request's [k] as a cap on the rows (or trees) it returns:
+    [max_int], every row, for [None] or a negative [k]. *)
+
+val ranked_k : int option -> int
+(** How many documents {!Ranked} ranks: [k] when positive, else 10.
+    It bounds a ranked result's [total] as a compiled plan's [limit]
+    bounds a query's. *)
+
 type result = {
   rows : row list;
   trees : string list;
@@ -135,8 +144,8 @@ type result = {
   limit : int option;
       (** the compiled plan's [stop after] row limit; [None] for every
           other request. Travels on the wire as ["limit"], so a
-          distributed coordinator can re-apply it to the gathered
-          shard rows *)
+          distributed coordinator bounds its merged rows and [total]
+          by it *)
   cached : bool;
   plan : string option;  (** explain output of the compiled plan *)
   timings : (string * float) list;  (** stage -> seconds, in order *)
@@ -164,8 +173,8 @@ val error_message : error -> string
 val canonical_key : request -> string
 (** Deterministic cache key: query text is whitespace-normalized
     outside string literals, term lists joined verbatim. Does not
-    include [k] or the snapshot generation — {!Result_cache} adds
-    those. *)
+    include the snapshot generation, [k], [theta] or the step and
+    result caps — the result cache's key adds those. *)
 
 type caches = {
   plans : (Query.Compile.plan, string) Stdlib.result Lru.t;
@@ -173,8 +182,10 @@ type caches = {
           negative compile so the fallback decision is also cached.
           Cached plans are costed ({!Query.Compile.plan_with_stats}) *)
   results : result Lru.t;
-      (** finished results; a hit is served with [cached = true], no
-          timings, no steps and no trace *)
+      (** finished results, keyed by the generation, [k], [theta],
+          the step and result caps and the {!canonical_key}; a hit is
+          served with [cached = true], no timings, no steps and no
+          trace *)
 }
 
 val plan_cache_key : snapshot -> string -> string

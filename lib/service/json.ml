@@ -30,8 +30,8 @@ let add_escaped buf s =
 
 (* The shortest of 15 or 17 significant digits that parses back to
    the same float, so scores cross the wire exactly: a coordinator
-   re-sorting shard rows must see the ties and near-ties a single
-   node sees. Text without a '.' or an exponent gets ".0", so it
+   merging shard rows must see the ties and near-ties a single node
+   sees. Text without a '.' or an exponent gets ".0", so it
    parses back as a Float, not an Int. NaN and infinities have no
    JSON spelling. *)
 let add_float buf f =

@@ -330,6 +330,97 @@ let result_to_json ?(include_timings = true) ?(extra = []) (r : Engine.result) =
   in
   Json.Obj (base @ trees @ plan @ timings @ trace)
 
+(* ------------------------------------------------------------------ *)
+(* Response decoding: the inverse of [result_to_json] *)
+
+let missing name = Error (Printf.sprintf "missing field %S" name)
+let ill_typed name = Error (Printf.sprintf "field %S is ill-typed" name)
+
+let required name = function
+  | Ok (Some v) -> Ok v
+  | Ok None -> missing name
+  | Error e -> Error e
+
+let field_int j name = required name (opt_int j name)
+
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+      let* v = f x in
+      go (v :: acc) rest
+  in
+  go [] l
+
+(* an array field decoded item by item; [absent] answers for a
+   missing field that is optional *)
+let array ?absent j name f =
+  match (Json.member name j, absent) with
+  | Some (Json.List items), _ -> map_result f items
+  | Some _, _ -> ill_typed name
+  | None, Some v -> Ok v
+  | None, None -> missing name
+
+(* an optional object field of [conv]-typed values, [[]] when absent *)
+let opt_fields j name conv =
+  match Json.member name j with
+  | None -> Ok []
+  | Some (Json.Obj fields) ->
+    map_result
+      (fun (k, v) ->
+        match conv v with Some x -> Ok (k, x) | None -> ill_typed name)
+      fields
+  | Some _ -> ill_typed name
+
+let row_of_json j =
+  let* tag = field_string j "tag" in
+  let* doc = field_int j "doc" in
+  let* start = field_int j "start" in
+  let* score = required "score" (opt_float j "score") in
+  Ok { Engine.tag; doc; start; score }
+
+(* [span_to_json] omits unknown (negative) cardinalities *)
+let rec span_of_json j =
+  let card name = Result.map (Option.value ~default:(-1)) (opt_int j name) in
+  let* name = field_string j "op" in
+  let* input = card "input" in
+  let* output = card "output" in
+  let* est = card "est" in
+  let* gov_steps = card "steps" in
+  let* elapsed_ns = field_int j "elapsed_ns" in
+  let* attrs = opt_fields j "attrs" Json.to_string_opt in
+  let* children = array ~absent:[] j "children" span_of_json in
+  Ok
+    { Core.Trace.name; input; output; est; gov_steps; elapsed_ns; attrs;
+      children }
+
+let result_of_json j =
+  let* () =
+    if Json.member "ok" j = Some (Json.Bool true) then Ok ()
+    else Error "not a result: \"ok\" is not true"
+  in
+  let* total = field_int j "total" in
+  let* limit = opt_int j "limit" in
+  let* cached = opt_bool ~default:false j "cached" in
+  let* steps_used = field_int j "steps_used" in
+  let* rows = array j "results" row_of_json in
+  let* trees =
+    array ~absent:[] j "trees" (fun t ->
+        match Json.to_string_opt t with
+        | Some s -> Ok s
+        | None -> ill_typed "trees")
+  in
+  let* plan = opt_string j "plan" in
+  let* timings = opt_fields j "timings" Json.to_float_opt in
+  let* trace =
+    match Json.member "trace" j with
+    | None -> Ok None
+    | Some sp -> Result.map Option.some (span_of_json sp)
+  in
+  Ok
+    { Engine.rows; trees; total; limit; cached; plan; timings; steps_used;
+      trace }
+
 let ok_plan_to_json plan =
   Json.Obj [ ("ok", Json.Bool true); ("plan", Json.String plan) ]
 

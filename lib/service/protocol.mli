@@ -80,6 +80,15 @@ val result_to_json :
     with timings stripped. [extra] appends caller fields (the
     distributed coordinator adds ["degraded"]/["shards"]). *)
 
+val result_of_json : Json.t -> (Engine.result, string) result
+(** The inverse of {!result_to_json}:
+    [result_of_json (result_to_json r) = Ok r]. Fields it does not
+    know (an [extra]'s) are ignored. [Error] for an error response,
+    an ok response of another op (it has no ["total"] or
+    ["results"]) and an ill-typed field. A distributed coordinator
+    decodes shard answers with it, and [tixdb client] its
+    responses. *)
+
 val rows_to_json : Engine.row list -> Json.t
 
 val span_to_json : Core.Trace.span -> Json.t

@@ -7,7 +7,6 @@ type t = {
   scheduler : Scheduler.t;
   publish : Mutex.t;
   every_docs : int option;
-  every_bytes : int option;
   feedback_path : string option;
   (* Background-checkpoint coordination. [ck_running] covers both the
      worker thread and synchronous [checkpoint ~wait:true] callers, so
@@ -227,25 +226,17 @@ let checkpoint_in_progress t =
   Mutex.unlock t.ck_lock;
   r
 
-(* Checkpoint automatically once the un-checkpointed state crosses a
-   configured threshold. Requests are deduped: while one checkpoint is
-   pending or running, the trigger is a no-op. *)
+(* Checkpoint automatically once the delta holds [every_docs]
+   documents + tombstones. Requests are deduped: while one checkpoint
+   is pending or running, the trigger is a no-op. *)
 let maybe_trigger t =
-  match (t.every_docs, t.every_bytes) with
-  | None, None -> ()
-  | _ ->
+  match t.every_docs with
+  | None -> ()
+  | Some n ->
     if not (checkpoint_in_progress t) then begin
       let s = Store.Live.stats t.live in
       let docs = s.Store.Live.delta_documents + s.Store.Live.tombstones in
-      let docs_hit =
-        match t.every_docs with Some n -> docs >= n | None -> false
-      in
-      let bytes_hit =
-        match t.every_bytes with
-        | Some n -> s.Store.Live.wal_bytes >= n
-        | None -> false
-      in
-      if docs_hit || bytes_hit then begin
+      if docs >= n then begin
         Log.info (fun m ->
             m "auto checkpoint trigger: delta=%d docs, wal=%d bytes" docs
               s.Store.Live.wal_bytes);
@@ -290,14 +281,13 @@ let update t ~name ~xml =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let create ?every_docs ?every_bytes ~live ~scheduler () =
+let create ?every_docs ~live ~scheduler () =
   let t =
     {
       live;
       scheduler;
       publish = Mutex.create ();
       every_docs;
-      every_bytes;
       feedback_path =
         Some (Filename.concat (Store.Live.dir live) feedback_file);
       ck_lock = Mutex.create ();

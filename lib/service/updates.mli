@@ -34,7 +34,6 @@ val error_message : error -> string
 
 val create :
   ?every_docs:int ->
-  ?every_bytes:int ->
   live:Store.Live.t ->
   scheduler:Scheduler.t ->
   unit ->
@@ -44,10 +43,9 @@ val create :
     to join it.
 
     [every_docs] requests an automatic background checkpoint once the
-    delta holds that many documents + tombstones; [every_bytes] once
-    the live WAL reaches that many bytes. Triggers are checked after
-    each acknowledged mutation and deduped while a checkpoint is
-    pending or running. *)
+    delta holds that many documents + tombstones. The trigger is
+    checked after each acknowledged mutation and deduped while a
+    checkpoint is pending or running. *)
 
 val shutdown : t -> unit
 (** Stop and join the background worker. An in-flight checkpoint

@@ -35,7 +35,6 @@ type t = {
   mutable checkpoints : int;
   (* group commit *)
   gc_max_batch : int;
-  gc_linger_s : float;
   gc_queue : pending Queue.t;  (* arrival order *)
   mutable gc_leader : bool;
   mutable gc_batches : int;
@@ -104,7 +103,7 @@ let merge_frozen_log ~dir =
     end
   end
 
-let open_dir ?fault ?base ?(wal_batch = 64) ?(wal_linger = 0.) ~dir () =
+let open_dir ?fault ?base ?(wal_batch = 64) ~dir () =
   let cpath = checkpoint_path ~dir in
   let base_result =
     if Sys.file_exists cpath then
@@ -151,7 +150,6 @@ let open_dir ?fault ?base ?(wal_batch = 64) ?(wal_linger = 0.) ~dir () =
                 gc_done = Condition.create ();
                 checkpoints = 0;
                 gc_max_batch = max 1 wal_batch;
-                gc_linger_s = Float.max 0. wal_linger;
                 gc_queue = Queue.create ();
                 gc_leader = false;
                 gc_batches = 0;
@@ -218,14 +216,6 @@ let rec drive t p =
     end
     else begin
       t.gc_leader <- true;
-      (* optional bounded linger so concurrent writers can join the
-         batch; natural batching during the previous fsync is the
-         main mechanism, so this defaults to off *)
-      if t.gc_linger_s > 0. && Queue.length t.gc_queue < t.gc_max_batch then begin
-        Mutex.unlock t.mutex;
-        Unix.sleepf t.gc_linger_s;
-        Mutex.lock t.mutex
-      end;
       let batch_n = min (Queue.length t.gc_queue) t.gc_max_batch in
       let batch = List.of_seq (Seq.take batch_n (Queue.to_seq t.gc_queue)) in
       let records = List.map (fun b -> b.p_record) batch in

@@ -69,7 +69,6 @@ val open_dir :
   ?fault:Fault.t ->
   ?base:Db.t ->
   ?wal_batch:int ->
-  ?wal_linger:float ->
   dir:string ->
   unit ->
   (opened, error) result
@@ -81,9 +80,8 @@ val open_dir :
     [dir] must exist.
 
     [wal_batch] (default 64) caps how many queued records one group
-    commit covers; [wal_linger] (default 0) adds a bounded wait
-    before the leader takes its batch so more writers can join —
-    natural batching during the previous fsync usually suffices. *)
+    commit covers: the records that queue up while the previous batch
+    syncs join the next one. *)
 
 val insert : t -> name:string -> xml:string -> (unit, error) result
 val delete : t -> name:string -> (unit, error) result

@@ -142,6 +142,7 @@ query_request() { # query k
 
 REQUESTS=(
   '{"op":"ranked","terms":["'"$TERM_PROBE"'"],"k":5}'
+  '{"op":"ranked","terms":["'"$TERM_PROBE"'"],"k":0}'
   '{"op":"search","terms":["'"$TERM_PROBE"'"],"k":8}'
   '{"op":"phrase","phrase":"'"$TERM_PROBE $TERM_PROBE"'"}'
 )

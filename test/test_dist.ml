@@ -265,6 +265,16 @@ let family_requests =
     Printf.sprintf {|{"op":"query","q":%s,"k":6}|} (quote pick_query);
     Printf.sprintf {|{"op":"query","q":%s,"mode":"interp","k":8}|}
       (quote interp_query);
+    (* k = 0 returns no rows but the whole total; k = -1 every row *)
+    {|{"op":"ranked","terms":["pxone","pxtwo"],"k":0}|};
+    {|{"op":"ranked","terms":["pxone","pxtwo"],"k":-1}|};
+    {|{"op":"search","terms":["pxone"],"k":0}|};
+    {|{"op":"search","terms":["pxone","pxtwo"],"k":-1}|};
+    {|{"op":"phrase","phrase":"pxpa pxpb","k":0}|};
+    Printf.sprintf {|{"op":"query","q":%s,"k":0}|} (quote engine_query);
+    Printf.sprintf {|{"op":"query","q":%s,"k":-1}|} (quote pick_query);
+    Printf.sprintf {|{"op":"query","q":%s,"mode":"interp","k":0}|}
+      (quote interp_query);
     (* error responses must forward verbatim too *)
     {|{"op":"ranked","terms":[""],"k":5}|};
     {|{"op":"query","q":"for $a in","k":5}|};
@@ -308,6 +318,86 @@ let test_matches_single_node () =
               compare_all
                 ~what:(Printf.sprintf "%d shards, cached" n)
                 single coord;
+              Dist.Client.close (Dist.Coordinator.client coord)))
+        [ 2; 4 ])
+
+(* The result cap bounds the merged answer, not each shard's share:
+   under a [max_results] at least every shard's total but below the
+   merged total, search, phrase and ranked are [exhausted] with the
+   single node's "result cap of C (got N)"; under the merged total
+   itself they answer as the single node does. Ranked needs a k above
+   the number of matching documents for its total to exceed a
+   shard's. *)
+let test_result_cap_spans_shards () =
+  let requests =
+    [
+      {|{"op":"search","terms":["pxone"],"k":3|};
+      {|{"op":"phrase","phrase":"pxpa pxpb","k":3|};
+      {|{"op":"ranked","terms":["pxone","pxtwo"],"k":100|};
+    ]
+  in
+  let with_cap line cap =
+    parse_exn (Printf.sprintf {|%s,"max_results":%d}|} line cap)
+  in
+  let total json =
+    match Option.bind (Json.member "total" json) Json.to_int_opt with
+    | Some n -> n
+    | None -> Alcotest.failf "no total in %s" (Json.to_string json)
+  in
+  (* an answer, or the error code and the breached limit: the text
+     after the ':' of "resource exhausted after N steps (T s): ...",
+     without the steps and the time, which differ *)
+  let verdict json =
+    match Json.member "error" json with
+    | None -> Json.to_string (strip json)
+    | Some err ->
+      let field name =
+        Option.value ~default:"?"
+          (Option.bind (Json.member name err) Json.to_string_opt)
+      in
+      let message = field "message" in
+      let limit =
+        match String.index_opt message ':' with
+        | Some i -> String.sub message i (String.length message - i)
+        | None -> message
+      in
+      field "code" ^ limit
+  in
+  with_single (fun single ->
+      List.iter
+        (fun n ->
+          with_cluster n (fun c ->
+              let coord = Dist.Coordinator.create ~source:"test" c.map in
+              List.iter
+                (fun line ->
+                  let unlimited = parse_exn (line ^ "}") in
+                  let merged = total (single unlimited) in
+                  let largest =
+                    Array.fold_left
+                      (fun acc sched ->
+                        max acc (total (Service.Server.handle sched unlimited)))
+                      0 c.schedulers
+                  in
+                  check bool_
+                    (Printf.sprintf "%d shards: %s: a shard total %d below %d" n
+                       line largest merged)
+                    true (largest < merged);
+                  List.iter
+                    (fun cap ->
+                      let req = with_cap line cap in
+                      let expected = single req in
+                      let what =
+                        Printf.sprintf "%d shards: %s under max_results %d" n
+                          line cap
+                      in
+                      check bool_
+                        (what ^ ": the single node refuses iff below total")
+                        (cap < merged)
+                        (not (response_ok expected));
+                      check string_ what (verdict expected)
+                        (verdict (Dist.Coordinator.handle coord req)))
+                    [ largest; merged - 1; merged ])
+                requests;
               Dist.Client.close (Dist.Coordinator.client coord)))
         [ 2; 4 ])
 
@@ -552,6 +642,23 @@ let test_health_stats_prepare () =
             check bool_ "prepare ok" true (response_ok r);
             match Option.bind (Json.member "id" r) Json.to_int_opt with
             | Some id ->
+              (* two spellings of one query share a statement, as on
+                 tixd *)
+              let respelled =
+                String.concat " "
+                  (List.filter (( <> ) "")
+                     (String.split_on_char ' '
+                        (String.map
+                           (function '\n' -> ' ' | ch -> ch)
+                           engine_query)))
+              in
+              check bool_ "re-prepare returns the same id" true
+                (Option.bind
+                   (Json.member "id"
+                      (Dist.Coordinator.handle coord
+                         (Protocol.Prepare { q = respelled })))
+                   Json.to_int_opt
+                = Some id);
               let exec_req =
                 parse_exn
                   (Printf.sprintf {|{"op":"execute","id":%d,"k":6}|} id)
@@ -643,6 +750,7 @@ let () =
         [
           tc "matches single node (2 and 4 shards)" `Quick
             test_matches_single_node;
+          tc "result cap spans shards" `Quick test_result_cap_spans_shards;
           tc "ranked theta windows" `Quick test_ranked_window_relay;
           tc "row limit is a field, not plan text" `Quick test_limit_field;
           tc "trace grafting" `Quick test_trace_grafting;

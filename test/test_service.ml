@@ -454,6 +454,39 @@ let test_engine_result_cache () =
   | Error e -> Alcotest.failf "exec: %s" (Service.Engine.error_message e));
   check int_ "two entries" 2 (Lru.stats caches.Service.Engine.results).Lru.entries
 
+(* A cached entry answers only requests under the limits it ran
+   with: with an empty cache and with an unlimited run's entry cached,
+   a request under a step or result cap gets the same verdict. *)
+let test_result_cache_honours_limits () =
+  let request =
+    Service.Engine.Search
+      { terms = [ "svplantone" ]; method_ = Service.Engine.Termjoin;
+        complex = false; anchor = None }
+  in
+  let verdict ?limits caches =
+    match exec ~caches ?limits ~k:3 request with
+    | Ok r -> Printf.sprintf "ok, total %d" r.Service.Engine.total
+    | Error e -> Service.Engine.error_code e
+  in
+  let total =
+    match exec ~k:3 request with
+    | Ok r -> r.Service.Engine.total
+    | Error e -> Alcotest.failf "exec: %s" (Service.Engine.error_message e)
+  in
+  List.iter
+    (fun (what, limits) ->
+      let cold = verdict ~limits (fresh_caches ()) in
+      check string_ (what ^ ": empty cache") "exhausted" cold;
+      let caches = fresh_caches () in
+      ignore (verdict caches : string);
+      check string_ (what ^ ": unlimited entry cached") cold
+        (verdict ~limits caches))
+    [
+      ( Printf.sprintf "max_results %d" (total - 1),
+        Core.Governor.limits ~max_results:(total - 1) () );
+      ("max_steps 5", Core.Governor.limits ~max_steps:5 ());
+    ]
+
 let test_engine_plan_cache () =
   let caches = fresh_caches () in
   let run () =
@@ -766,6 +799,86 @@ let test_trace_json_roundtrip () =
       check bool_ "elapsed present" true
         (Service.Json.member "elapsed_ns" t <> None)
   end
+
+(* [result_of_json] inverts [result_to_json], on the value and over
+   the wire, for results with rows, trees, a limit, a plan, timings
+   and a nested trace; fields it does not know are ignored, and other
+   responses are not results. *)
+let test_result_json_roundtrip () =
+  let span name children =
+    {
+      Core.Trace.name;
+      input = -1;
+      output = 3;
+      est = 12;
+      gov_steps = 40;
+      elapsed_ns = 1_234_567;
+      attrs = [ ("method", "termjoin"); ("note", "a \"quoted\" é") ];
+      children;
+    }
+  in
+  let rows_result =
+    {
+      Service.Engine.rows =
+        [
+          { tag = "section"; doc = 3; start = 17; score = 2.9999999999999996 };
+          { tag = "p"; doc = 0; start = 4; score = 0.1 };
+          { tag = "article-7.xml"; doc = 12; start = -1; score = 1e-300 };
+        ];
+      trees = [];
+      total = 230;
+      limit = Some 5;
+      cached = true;
+      plan = Some "planner: termjoin\n  est 12";
+      timings = [ ("parse", 0.000125); ("execute", 1.5); ("total", 1.75) ];
+      steps_used = 977;
+      trace = Some (span "Scatter" [ span "Shard" [ span "TermJoin" [] ] ]);
+    }
+  in
+  let trees_result =
+    {
+      Service.Engine.rows = [];
+      trees = [ "<r>one</r>"; "<r>\"two\"\n</r>" ];
+      total = 9;
+      limit = None;
+      cached = false;
+      plan = None;
+      timings = [];
+      steps_used = 0;
+      trace = None;
+    }
+  in
+  let traced, _ =
+    exec_traced
+      (Service.Engine.Search
+         { terms = [ "svplantone" ]; method_ = Service.Engine.Termjoin;
+           complex = false; anchor = None })
+  in
+  let decodes what r json =
+    check bool_ what true (Service.Protocol.result_of_json json = Ok r)
+  in
+  List.iter
+    (fun (what, r) ->
+      let json = Service.Protocol.result_to_json r in
+      decodes what r json;
+      (match Service.Json.parse (Service.Json.to_string json) with
+      | Ok wire -> decodes (what ^ ", over the wire") r wire
+      | Error e -> Alcotest.failf "%s: unparseable: %s" what e);
+      decodes (what ^ ", extra fields")
+        r
+        (Service.Protocol.result_to_json
+           ~extra:[ ("degraded", Service.Json.Bool true) ]
+           r))
+    [ ("rows", rows_result); ("trees", trees_result); ("traced", traced) ];
+  List.iter
+    (fun (what, json) ->
+      check bool_ what true
+        (Result.is_error (Service.Protocol.result_of_json json)))
+    [
+      ("error response", Service.Protocol.error_to_json ~code:"x" ~message:"y");
+      ("explain response", Service.Protocol.ok_plan_to_json "plan");
+      ("prepare response", Service.Protocol.ok_prepared_to_json 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -1158,6 +1271,8 @@ let () =
           Alcotest.test_case "bad \\u escape" `Quick test_json_bad_unicode_escape;
           Alcotest.test_case "nesting depth cap" `Quick test_json_depth_cap;
           QCheck_alcotest.to_alcotest test_json_float_roundtrip;
+          Alcotest.test_case "result decode inverts encode" `Quick
+            test_result_json_roundtrip;
         ] );
       ( "lru",
         [
@@ -1194,6 +1309,8 @@ let () =
           Alcotest.test_case "bad requests" `Quick test_engine_bad_requests;
           Alcotest.test_case "governor" `Quick test_engine_governor;
           Alcotest.test_case "result cache" `Quick test_engine_result_cache;
+          Alcotest.test_case "result cache honours limits" `Quick
+            test_result_cache_honours_limits;
           Alcotest.test_case "plan cache" `Quick test_engine_plan_cache;
           Alcotest.test_case "explain" `Quick test_engine_explain;
           Alcotest.test_case "auto search method" `Quick test_search_auto;

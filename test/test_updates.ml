@@ -205,9 +205,9 @@ let with_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ()) (fun () -> f dir)
 
-let open_live ?fault ?(base = true) ?wal_batch ?wal_linger dir =
+let open_live ?fault ?(base = true) ?wal_batch dir =
   let base = if base then Some (mk_base ()) else None in
-  match Store.Live.open_dir ?fault ?base ?wal_batch ?wal_linger ~dir () with
+  match Store.Live.open_dir ?fault ?base ?wal_batch ~dir () with
   | Ok opened -> opened
   | Error e -> Alcotest.failf "open_dir: %s" (Store.Live.error_to_string e)
 
@@ -1572,7 +1572,7 @@ let test_live_ingest_during_checkpoint_stress () =
 (* ------------------------------------------------------------------ *)
 (* Service layer: coordinator, protocol, server dispatch *)
 
-let with_service ?(base = true) ?every_docs ?every_bytes f =
+let with_service ?(base = true) ?every_docs f =
   with_dir (fun dir ->
       let opened = open_live ~base dir in
       let live = opened.Store.Live.live in
@@ -1581,7 +1581,7 @@ let with_service ?(base = true) ?every_docs ?every_bytes f =
           (live_snapshot live)
       in
       let updates =
-        Service.Updates.create ?every_docs ?every_bytes ~live ~scheduler ()
+        Service.Updates.create ?every_docs ~live ~scheduler ()
       in
       Fun.protect
         ~finally:(fun () ->
