@@ -74,10 +74,10 @@ val load :
     process reaches serving state in O(1). *)
 
 val with_delta : snapshot -> Store.Delta.t -> snapshot
-(** Attach a delta segment's current state (documents, tombstones) to
-    the snapshot. The segment must overlay the snapshot's own [db].
-    The view is immutable — after further mutations, build a new
-    snapshot. An empty delta yields [delta = None]. *)
+(** Attach a delta value (documents, tombstones) to the snapshot. The
+    value must overlay the snapshot's own [db]; a later mutation is a
+    new value and needs a new snapshot. An empty delta yields
+    [delta = None]. *)
 
 val fault_stats : snapshot -> Store.Fault.injection_stats option
 (** Injection counts of the fault injector attached to the base

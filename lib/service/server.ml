@@ -108,28 +108,65 @@ let untrack_conn t fd =
   Mutex.protect t.conn_lock (fun () ->
       t.conn_fds <- List.filter (fun f -> f != fd) t.conn_fds)
 
+let max_line_bytes = 16 * 1024 * 1024
+
+(* Pass each newline-terminated line read from [fd] to [f] as [Some
+   line], or as [None] when it is longer than [max_line_bytes]: such a
+   line is dropped as it arrives, never held whole. A last line
+   without a newline counts. Returns at end of input. *)
+let iter_lines fd f =
+  let chunk = Bytes.create 65536 and line = Buffer.create 256 in
+  let too_long = ref false in
+  let add pos len =
+    if Buffer.length line + len > max_line_bytes then too_long := true;
+    if !too_long then Buffer.reset line
+    else Buffer.add_subbytes line chunk pos len
+  in
+  let finish () =
+    f (if !too_long then None else Some (Buffer.contents line));
+    Buffer.clear line;
+    too_long := false
+  in
+  (* the line under way starts at [pos]; [i] looks for its newline *)
+  let rec split pos i n =
+    if i = n then add pos (n - pos)
+    else if Bytes.get chunk i = '\n' then begin
+      add pos (i - pos);
+      finish ();
+      split (i + 1) (i + 1) n
+    end
+    else split pos (i + 1) n
+  in
+  let rec loop () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> if !too_long || Buffer.length line > 0 then finish ()
+    | n ->
+      split 0 0 n;
+      loop ()
+  in
+  loop ()
+
 let serve_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let respond line =
     let json =
-      match Protocol.parse_request line with
-      | Ok req -> t.handler req
-      | Error msg -> Protocol.error_to_json ~code:"bad_request" ~message:msg
+      match line with
+      | None ->
+        Protocol.error_to_json ~code:"bad_request"
+          ~message:
+            (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
+      | Some line -> begin
+        match Protocol.parse_request line with
+        | Ok req -> t.handler req
+        | Error msg -> Protocol.error_to_json ~code:"bad_request" ~message:msg
+      end
     in
     output_string oc (Json.to_string json);
     output_char oc '\n';
     flush oc
   in
-  let rec loop () =
-    match input_line ic with
-    | "" -> loop ()
-    | line ->
-      respond line;
-      loop ()
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
-  in
-  (try loop () with _ -> ());
+  (try iter_lines fd (function Some "" -> () | line -> respond line)
+   with _ -> ());
   untrack_conn t fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 

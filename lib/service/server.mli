@@ -32,6 +32,11 @@ val start_handler :
     dispatch through this, so coordinator and backend speak one wire
     protocol. [name] labels the startup log line. *)
 
+val max_line_bytes : int
+(** The longest request line served, 16 MiB. A longer line is read to
+    its newline and dropped, answered with [bad_request] "request line
+    exceeds N bytes"; the connection stays open. *)
+
 val port : t -> int
 val connections : t -> int
 (** Connections accepted so far. *)

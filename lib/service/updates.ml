@@ -96,29 +96,40 @@ let load_feedback ~dir =
 (* ------------------------------------------------------------------ *)
 (* Snapshot publication *)
 
-(* Publish the store's current delta state over the scheduler's
-   snapshot. The base db (and its pinned pager) is reused; only the
-   delta view and the generation change. *)
-let publish_delta t =
+(* Publish the store's committed delta value, over the value's own
+   base, at generation + 1. The served base snapshot (and its pinned
+   pager) is reused; a new one is opened only when the value sits on
+   another base, which a checkpoint install brings. Callers hold
+   [t.publish], so generations follow the order of the values. *)
+let publish t =
   let current = Scheduler.snapshot t.scheduler in
-  let next =
-    Engine.with_delta
-      { current with Engine.generation = current.Engine.generation + 1 }
-      (Store.Live.delta t.live)
+  let delta = Store.Live.delta t.live in
+  let generation = current.Engine.generation + 1 in
+  let base = Store.Delta.base delta in
+  let over =
+    if base == current.Engine.db then Ok { current with Engine.generation }
+    else
+      Engine.of_db ~feedback:current.Engine.feedback ~generation
+        ~source:(Store.Live.checkpoint_path ~dir:(Store.Live.dir t.live))
+        base
   in
-  match Scheduler.reload t.scheduler next with
-  | Ok () -> Ok next.Engine.generation
-  | Error e -> Error (Snapshot_error (Scheduler.reload_error_to_string e))
+  match over with
+  | Error msg -> Error (Snapshot_error msg)
+  | Ok snapshot -> begin
+    let next = Engine.with_delta snapshot delta in
+    match Scheduler.reload t.scheduler next with
+    | Ok () -> Ok next
+    | Error e -> Error (Snapshot_error (Scheduler.reload_error_to_string e))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint execution *)
 
 (* The begin/prepare/install split keeps the expensive merge
    ([Store.Db.compact] + image save) off every lock: mutations and
-   queries proceed against the frozen segment + live delta while
-   [checkpoint_prepare] runs. Only the final install — swap the base,
-   republish the snapshot — holds the publish lock, so a concurrent
-   mutation can never publish a stale base with the new delta. *)
+   queries proceed against the committed values while
+   [checkpoint_prepare] runs. Only the final install and its publish
+   hold the publish lock. *)
 let do_checkpoint t =
   match Store.Live.checkpoint_begin t.live with
   | Error e -> Error (Store_error e)
@@ -132,31 +143,17 @@ let do_checkpoint t =
             m "checkpoint abort failed: %s" (Store.Live.error_to_string ae)));
       Error (Store_error e)
     | Ok (merged, path) ->
-      Mutex.lock t.publish;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.publish)
-        (fun () ->
+      Mutex.protect t.publish (fun () ->
           Store.Live.checkpoint_install t.live merged path;
-          let current = Scheduler.snapshot t.scheduler in
-          match
-            Engine.of_db ~feedback:current.Engine.feedback
-              ~generation:(current.Engine.generation + 1)
-              ~source:path (Store.Live.base t.live)
-          with
-          | Error msg -> Error (Snapshot_error msg)
-          | Ok next -> begin
-            let next = Engine.with_delta next (Store.Live.delta t.live) in
-            match Scheduler.reload t.scheduler next with
-            | Error e ->
-              Error (Snapshot_error (Scheduler.reload_error_to_string e))
-            | Ok () ->
-              Metrics.incr (Metrics.counter "checkpoints.total");
-              save_feedback t next;
-              Log.info (fun m ->
-                  m "checkpoint installed: %s (generation %d)" path
-                    next.Engine.generation);
-              Ok (path, next.Engine.generation)
-          end)
+          match publish t with
+          | Error e -> Error e
+          | Ok next ->
+            Metrics.incr (Metrics.counter "checkpoints.total");
+            save_feedback t next;
+            Log.info (fun m ->
+                m "checkpoint installed: %s (generation %d)" path
+                  next.Engine.generation);
+            Ok (path, next.Engine.generation))
   end
 
 let run_guarded t =
@@ -260,10 +257,8 @@ let mutate t name op =
     | Error e -> Error (Store_error e)
     | Ok () ->
       Metrics.incr (Metrics.counter "wal.appends");
-      Mutex.lock t.publish;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.publish)
-        (fun () -> publish_delta t)
+      Mutex.protect t.publish (fun () -> publish t)
+      |> Result.map (fun next -> next.Engine.generation)
   in
   let outcome = counted name outcome in
   (match outcome with Ok _ -> maybe_trigger t | Error _ -> ());

@@ -1,11 +1,12 @@
+module Ints = Set.Make (Int)
+
 type entry = { name : string; xml : string; tree : Xmlkit.Tree.element }
 
 type t = {
   base : Db.t;
-  mutable entries : entry list;  (* arrival order *)
-  tombstones : bool array;  (* over base document ids *)
-  mutable n_tombstones : int;
-  mutable cache : Db.t option;  (* delta index, rebuilt lazily *)
+  entries : entry list;  (* arrival order *)
+  dead : Ints.t;  (* tombstoned base document ids *)
+  index : Db.t option Atomic.t;  (* index over [entries], built on first use *)
 }
 
 type mutation_error =
@@ -23,31 +24,26 @@ let pp_mutation_error ppf = function
 let mutation_error_to_string e = Format.asprintf "%a" pp_mutation_error e
 
 let create ~base =
-  {
-    base;
-    entries = [];
-    tombstones = Array.make (Catalog.document_count (Db.catalog base)) false;
-    n_tombstones = 0;
-    cache = None;
-  }
+  { base; entries = []; dead = Ints.empty; index = Atomic.make None }
 
 let base t = t.base
 
 let base_doc t name =
   match Catalog.document_id (Db.catalog t.base) name with
-  | Some d when not t.tombstones.(d) -> Some d
+  | Some d when not (Ints.mem d t.dead) -> Some d
   | Some _ | None -> None
 
 let in_delta t name = List.exists (fun e -> e.name = name) t.entries
 let mem t name = in_delta t name || base_doc t name <> None
+let tombstone_count t = Ints.cardinal t.dead
 
-let is_tombstoned t doc =
-  doc >= 0 && doc < Array.length t.tombstones && t.tombstones.(doc)
+let tombstones t =
+  let marks = Array.make (Catalog.document_count (Db.catalog t.base)) false in
+  Ints.iter (fun d -> marks.(d) <- true) t.dead;
+  marks
 
-let tombstone_count t = t.n_tombstones
-let tombstones t = Array.copy t.tombstones
 let doc_count t = List.length t.entries
-let is_empty t = t.entries = [] && t.n_tombstones = 0
+let is_empty t = t.entries = [] && Ints.is_empty t.dead
 let documents t = List.map (fun e -> (e.name, e.xml)) t.entries
 
 let parse ~name xml =
@@ -58,60 +54,39 @@ let parse ~name xml =
       (Parse_failed
          { name; reason = Format.asprintf "%a" Xmlkit.Parser.pp_error e })
 
-let dirty t = t.cache <- None
-
-let tombstone t doc =
-  if not t.tombstones.(doc) then begin
-    t.tombstones.(doc) <- true;
-    t.n_tombstones <- t.n_tombstones + 1
-  end
+(* A value with other entries gets an index cell of its own; a
+   tombstone-only change keeps the cell, since the index covers the
+   entries alone. *)
+let with_entries t entries = { t with entries; index = Atomic.make None }
 
 let insert t ~name ~xml =
   if mem t name then Error (Duplicate_document { name })
   else
-    match parse ~name xml with
-    | Error _ as e -> e |> Result.map (fun _ -> ())
-    | Ok entry ->
-      t.entries <- t.entries @ [ entry ];
-      dirty t;
-      Ok ()
+    parse ~name xml |> Result.map (fun e -> with_entries t (t.entries @ [ e ]))
 
 let delete t ~name =
-  if in_delta t name then begin
+  if in_delta t name then
     (* an updated base doc stays tombstoned; only the delta copy goes *)
-    t.entries <- List.filter (fun e -> e.name <> name) t.entries;
-    dirty t;
-    Ok ()
-  end
+    Ok (with_entries t (List.filter (fun e -> e.name <> name) t.entries))
   else
     match base_doc t name with
-    | Some d ->
-      tombstone t d;
-      dirty t;
-      Ok ()
+    | Some d -> Ok { t with dead = Ints.add d t.dead }
     | None -> Error (Unknown_document { name })
 
 let update t ~name ~xml =
   if in_delta t name then
-    match parse ~name xml with
-    | Error _ as e -> e |> Result.map (fun _ -> ())
-    | Ok entry ->
-      (* replace in place: an update keeps the document's position *)
-      t.entries <-
-        List.map (fun e -> if e.name = name then entry else e) t.entries;
-      dirty t;
-      Ok ()
+    parse ~name xml
+    |> Result.map (fun entry ->
+           (* replace in place: an update keeps the document's position *)
+           with_entries t
+             (List.map (fun e -> if e.name = name then entry else e) t.entries))
   else
     match base_doc t name with
-    | Some d -> begin
-      match parse ~name xml with
-      | Error _ as e -> e |> Result.map (fun _ -> ())
-      | Ok entry ->
-        tombstone t d;
-        t.entries <- t.entries @ [ entry ];
-        dirty t;
-        Ok ()
-    end
+    | Some d ->
+      parse ~name xml
+      |> Result.map (fun entry ->
+             { (with_entries t (t.entries @ [ entry ])) with
+               dead = Ints.add d t.dead })
     | None -> Error (Unknown_document { name })
 
 let apply t = function
@@ -119,88 +94,41 @@ let apply t = function
   | Wal.Delete { name } -> delete t ~name
   | Wal.Update { name; xml } -> update t ~name ~xml
 
-(* Liveness-injected validation: [live] decides name liveness so the
-   caller can fold in effects that are not in the segment yet (e.g. a
-   group-commit queue of validated-but-unwritten records). *)
-let check_record ~live = function
-  | Wal.Insert { name; xml } ->
-    if live name then Error (Duplicate_document { name })
-    else parse ~name xml |> Result.map (fun _ -> ())
-  | Wal.Delete { name } ->
-    if live name then Ok () else Error (Unknown_document { name })
-  | Wal.Update { name; xml } ->
-    if live name then parse ~name xml |> Result.map (fun _ -> ())
-    else Error (Unknown_document { name })
-
-let check t record = check_record ~live:(mem t) record
-
 type replay_report = { applied : int; skipped : int }
 
 let replay t records =
-  let applied = ref 0 and skipped = ref 0 in
-  let step = function
-    | Wal.Insert { name; xml } | Wal.Update { name; xml } ->
-      (* live name → update, dead name → insert: idempotent both ways *)
-      let r =
+  let step (t, r) record =
+    let outcome =
+      match record with
+      | Wal.Insert { name; xml } | Wal.Update { name; xml } ->
+        (* live name → update, dead name → insert: idempotent both ways *)
         if mem t name then update t ~name ~xml else insert t ~name ~xml
-      in
-      (match r with Ok () -> incr applied | Error _ -> incr skipped)
-    | Wal.Delete { name } -> (
-      match delete t ~name with Ok () -> incr applied | Error _ -> incr skipped)
-  in
-  List.iter step records;
-  { applied = !applied; skipped = !skipped }
-
-let build_db ~base entries =
-  match entries with
-  | [] -> None
-  | entries ->
-    let options =
-      {
-        Db.default_options with
-        stem = Ir.Inverted_index.stemmed (Db.index base);
-        keep_trees = true;
-      }
+      | Wal.Delete { name } -> delete t ~name
     in
-    Some (Db.of_documents ~options (List.map (fun e -> (e.name, e.tree)) entries))
+    match outcome with
+    | Ok t -> (t, { r with applied = r.applied + 1 })
+    | Error _ -> (t, { r with skipped = r.skipped + 1 })
+  in
+  List.fold_left step (t, { applied = 0; skipped = 0 }) records
 
 let db t =
-  match (t.cache, t.entries) with
-  | Some db, _ -> Some db
-  | None, entries -> begin
-    match build_db ~base:t.base entries with
-    | None -> None
-    | Some db ->
-      t.cache <- Some db;
+  match t.entries with
+  | [] -> None
+  | entries -> begin
+    match Atomic.get t.index with
+    | Some _ as db -> db
+    | None ->
+      let options =
+        {
+          Db.default_options with
+          stem = Ir.Inverted_index.stemmed (Db.index t.base);
+          keep_trees = true;
+        }
+      in
+      let db =
+        Db.of_documents ~options (List.map (fun e -> (e.name, e.tree)) entries)
+      in
+      (* racing first uses build from the same entries: either is right *)
+      Atomic.set t.index (Some db);
       Some db
   end
-
-(* ------------------------------------------------------------------ *)
-(* Frozen segments.
-
-   A frozen segment is an immutable snapshot of the delta taken when a
-   checkpoint begins: the entry list is shared (mutations only rebind
-   [t.entries], never mutate the shared spine) and the tombstone
-   bitmap is copied. The background merger reads the snapshot off any
-   lock while the live delta keeps accumulating on top of it. *)
-
-type frozen = {
-  f_base : Db.t;
-  f_entries : entry list;
-  f_tombstones : bool array;
-  f_n_tombstones : int;
-}
-
-let freeze t =
-  {
-    f_base = t.base;
-    f_entries = t.entries;
-    f_tombstones = Array.copy t.tombstones;
-    f_n_tombstones = t.n_tombstones;
-  }
-
-let frozen_base f = f.f_base
-let frozen_doc_count f = List.length f.f_entries
-let frozen_tombstone_count f = f.f_n_tombstones
-let frozen_tombstones f = Array.copy f.f_tombstones
-let frozen_db f = build_db ~base:f.f_base f.f_entries

@@ -1,18 +1,23 @@
-(** In-memory delta segment layered over an immutable base snapshot.
+(** An immutable delta over an immutable base snapshot.
 
     The base {!Db} never changes after load; live updates accumulate
-    here instead. The segment holds
+    here instead. A value holds
 
     - the {e delta documents}: inserted (or updated) documents kept in
       arrival order, indexed by their own in-memory {!Db} with the
       base's stemming configuration, and
-    - the {e tombstones}: a bitmap over base document ids marking
-      documents that were deleted or superseded by an update.
+    - the {e tombstones}: a set of base document ids marking documents
+      that were deleted or superseded by an update.
 
     Readers therefore see [base ∪ delta − tombstones] without the
     immutable [.tix] read path changing at all. Document identity is
     by catalog name; a name is {e live} when it is a delta document or
     an untombstoned base document.
+
+    A value never changes: every mutation returns a new one. So a
+    published snapshot, a checkpoint's frozen state and a writer's
+    validation each read one consistent state, and the value's own
+    index ({!db}) is built once, on first use, and kept with it.
 
     Mutations come in two flavours. {!insert}/{!delete}/{!update} are
     strict: inserting a live name, or deleting/updating a dead one, is
@@ -32,34 +37,22 @@ val pp_mutation_error : Format.formatter -> mutation_error -> unit
 val mutation_error_to_string : mutation_error -> string
 
 val create : base:Db.t -> t
-(** An empty segment over [base]: no delta documents, no tombstones. *)
+(** An empty delta over [base]: no delta documents, no tombstones. *)
 
 val base : t -> Db.t
 
-val insert : t -> name:string -> xml:string -> (unit, mutation_error) result
-val delete : t -> name:string -> (unit, mutation_error) result
-val update : t -> name:string -> xml:string -> (unit, mutation_error) result
+val insert : t -> name:string -> xml:string -> (t, mutation_error) result
+val delete : t -> name:string -> (t, mutation_error) result
+val update : t -> name:string -> xml:string -> (t, mutation_error) result
 
-val apply : t -> Wal.record -> (unit, mutation_error) result
+val apply : t -> Wal.record -> (t, mutation_error) result
 (** Strict application of one WAL record — exactly
-    {!insert}/{!delete}/{!update}. *)
-
-val check : t -> Wal.record -> (unit, mutation_error) result
-(** Would {!apply} succeed? Same checks (name liveness, XML parse),
-    no mutation — used to validate before the record is logged, so a
-    record that could never apply is not written to the WAL. *)
-
-val check_record :
-  live:(string -> bool) -> Wal.record -> (unit, mutation_error) result
-(** {!check} with name liveness injected: [live name] decides whether
-    [name] currently exists, so a caller can fold in effects that are
-    not in any segment yet (e.g. a group-commit queue of
-    validated-but-unwritten records). [check t] is
-    [check_record ~live:(mem t)]. *)
+    {!insert}/{!delete}/{!update}. Applying a record is also how a
+    record is validated before it is logged. *)
 
 type replay_report = { applied : int; skipped : int }
 
-val replay : t -> Wal.record list -> replay_report
+val replay : t -> Wal.record list -> t * replay_report
 (** Lenient, idempotent replay in order (see the module doc).
     [skipped] counts records that had no effect — deletes of dead
     names and records whose XML no longer parses. *)
@@ -67,12 +60,8 @@ val replay : t -> Wal.record list -> replay_report
 val mem : t -> string -> bool
 (** Is this name live (delta document, or untombstoned base doc)? *)
 
-val is_tombstoned : t -> int -> bool
-(** Is this base document id tombstoned? (Ids outside the base are
-    not.) *)
-
 val tombstones : t -> bool array
-(** A copy of the tombstone bitmap over base document ids. *)
+(** A fresh bitmap over base document ids, [true] for a tombstone. *)
 
 val tombstone_count : t -> int
 
@@ -89,31 +78,5 @@ val documents : t -> (string * string) list
 val db : t -> Db.t option
 (** An in-memory database over just the delta documents (dense ids in
     arrival order, stemming matching the base, trees retained), or
-    [None] when there are no delta documents. Cached; rebuilt after a
-    mutation. *)
-
-(** {1 Frozen segments}
-
-    A checkpoint freezes the delta into an immutable snapshot that a
-    background merger can read off any lock while the live segment
-    keeps accumulating on top of it. The entry list is shared
-    structurally (mutations rebind, never mutate, the spine); the
-    tombstone bitmap is copied at freeze time. *)
-
-type frozen
-
-val freeze : t -> frozen
-(** Snapshot the segment's current documents and tombstones. The
-    segment itself is untouched and stays mutable. *)
-
-val frozen_base : frozen -> Db.t
-val frozen_doc_count : frozen -> int
-val frozen_tombstone_count : frozen -> int
-
-val frozen_tombstones : frozen -> bool array
-(** A copy of the snapshot's tombstone bitmap over base doc ids. *)
-
-val frozen_db : frozen -> Db.t option
-(** An in-memory database over the snapshot's documents (same shape
-    as {!db}), or [None] when the snapshot holds none. Built fresh on
-    each call — no cache — so it is safe to call off-lock. *)
+    [None] when there are no delta documents. Built on first use and
+    kept in the value; safe to call from any domain. *)

@@ -17,18 +17,20 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-(* A mutation waiting in the group-commit queue. [p_result] is set by
-   the batch leader once the record's fate is known; [None] means the
-   record is still queued or in flight. *)
+(* A mutation waiting in the group-commit queue. [p_delta] is the
+   committed value with this record and every record queued before it
+   applied. [p_result] is set by the batch leader once the record's
+   fate is known; [None] means the record is still queued or in
+   flight. *)
 type pending = {
   p_record : Wal.record;
+  mutable p_delta : Delta.t;
   mutable p_result : (unit, error) result option;
 }
 
 type t = {
   t_dir : string;
-  mutable base : Db.t;
-  mutable delta : Delta.t;
+  mutable delta : Delta.t;  (* committed: every durable record applied *)
   mutable wal : Wal.t;  (* swapped at checkpoint rotation *)
   mutex : Mutex.t;
   gc_done : Condition.t;  (* batch finished / leadership released *)
@@ -41,7 +43,7 @@ type t = {
   mutable gc_records : int;
   mutable gc_largest : int;
   (* two-level checkpoint *)
-  mutable frozen : Delta.frozen option;
+  mutable frozen : Delta.t option;  (* the committed value at begin *)
   mutable ck_suffix : Wal.record list;  (* applied since freeze, reversed *)
 }
 
@@ -130,8 +132,9 @@ let open_dir ?fault ?base ?(wal_batch = 64) ~dir () =
             Wal.truncated_bytes = recovery.Wal.truncated_bytes + merged_trunc;
           }
         in
-        let delta = Delta.create ~base in
-        let replay = Delta.replay delta recovery.Wal.records in
+        let delta, replay =
+          Delta.replay (Delta.create ~base) recovery.Wal.records
+        in
         if recovery.Wal.records <> [] then
           Log.info (fun m ->
               m "%s: replayed %d WAL record%s (%d applied, %d skipped)" dir
@@ -143,7 +146,6 @@ let open_dir ?fault ?base ?(wal_batch = 64) ~dir () =
             live =
               {
                 t_dir = dir;
-                base;
                 delta;
                 wal;
                 mutex = Mutex.create ();
@@ -172,37 +174,41 @@ let locked t f =
 (* ------------------------------------------------------------------ *)
 (* Group commit.
 
-   Mutations are validated under the mutex against the delta PLUS the
-   queue of validated-but-unwritten records, then enqueued. The first
-   thread to find no active leader becomes the batch leader: it takes
-   up to [gc_max_batch] queued records, releases the mutex, commits
-   them with ONE write + ONE fsync ([Wal.append_many]), re-acquires
-   the mutex, applies them to the delta in queue order and wakes every
-   waiter. Durability is unchanged — a record is acknowledged only
-   after the fsync covering its frame returns — but N acknowledgements
-   now share one sync. Batching is natural: while the leader is inside
-   fsync the mutex is free, so concurrent writers pile into the queue
-   and the next leader drains them in one batch. *)
+   A mutation is validated by applying it, under the mutex, to the
+   queue's tail value (the committed value plus every queued record),
+   and is enqueued with the value that gives. The first thread to find
+   no active leader becomes the batch leader: it takes up to
+   [gc_max_batch] queued records, releases the mutex, commits them
+   with ONE write + ONE fsync ([Wal.append_many]), re-acquires the
+   mutex, commits the last record's value and wakes every waiter.
+   Durability is unchanged — a record is acknowledged only after the
+   fsync covering its frame returns — but N acknowledgements now share
+   one sync. Batching is natural: while the leader is inside fsync the
+   mutex is free, so concurrent writers pile into the queue and the
+   next leader drains them in one batch. *)
 
-(* The queued records' net effect on a name's liveness: the last
-   queued record wins. [None] when the queue says nothing about it. *)
-let queued_liveness t name =
-  Queue.fold
-    (fun acc p ->
-      match p.p_record with
-      | Wal.Insert { name = n; _ } when String.equal n name -> Some true
-      | Wal.Update { name = n; _ } when String.equal n name -> Some true
-      | Wal.Delete { name = n } when String.equal n name -> Some false
-      | _ -> acc)
-    None t.gc_queue
+let tail t = Queue.fold (fun _ p -> p.p_delta) t.delta t.gc_queue
 
-let check_pending t record =
-  let live name =
-    match queued_liveness t name with
-    | Some l -> l
-    | None -> Delta.mem t.delta name
+(* Re-derive every queued value from the committed one, in queue
+   order. A record that no longer applies is failed and leaves the
+   queue; its waiter is woken. *)
+let rebase t =
+  let queued = List.of_seq (Queue.to_seq t.gc_queue) in
+  Queue.clear t.gc_queue;
+  let (_ : Delta.t) =
+    List.fold_left
+      (fun d p ->
+        match Delta.apply d p.p_record with
+        | Ok d ->
+          p.p_delta <- d;
+          Queue.push p t.gc_queue;
+          d
+        | Error e ->
+          p.p_result <- Some (Error (Mutation_error e));
+          d)
+      t.delta queued
   in
-  Delta.check_record ~live record
+  Condition.broadcast t.gc_done
 
 type batch_outcome = Committed | Failed of Wal.error | Crashed of exn
 
@@ -228,28 +234,22 @@ let rec drive t p =
         | exception e -> Crashed e
       in
       Mutex.lock t.mutex;
+      for _ = 1 to batch_n do
+        ignore (Queue.pop t.gc_queue)
+      done;
       (match outcome with
       | Committed ->
         t.gc_batches <- t.gc_batches + 1;
         t.gc_records <- t.gc_records + batch_n;
         if batch_n > t.gc_largest then t.gc_largest <- batch_n;
-        List.iter
-          (fun b ->
-            let r =
-              match Delta.apply t.delta b.p_record with
-              | Ok () ->
-                if t.frozen <> None then
-                  t.ck_suffix <- b.p_record :: t.ck_suffix;
-                Ok ()
-              | Error e ->
-                (* unreachable given check_pending; surface, not hide *)
-                Error (Mutation_error e)
-            in
-            b.p_result <- Some r)
-          batch
+        t.delta <- (List.nth batch (batch_n - 1)).p_delta;
+        if t.frozen <> None then
+          t.ck_suffix <- List.rev_append records t.ck_suffix;
+        List.iter (fun b -> b.p_result <- Some (Ok ())) batch
       | Failed e ->
         (* one sync covered the whole batch: none of it is durable *)
-        List.iter (fun b -> b.p_result <- Some (Error (Wal_error e))) batch
+        List.iter (fun b -> b.p_result <- Some (Error (Wal_error e))) batch;
+        rebase t
       | Crashed _ ->
         (* the simulated process died mid-batch; waiters must not
            hang — resolve them with a typed loss before the leader
@@ -265,39 +265,24 @@ let rec drive t p =
                            path = Wal.path wal;
                            detail = "append lost in simulated crash";
                          }))))
-          batch);
-      for _ = 1 to batch_n do
-        ignore (Queue.pop t.gc_queue)
-      done;
-      (match outcome with
-      | Committed -> ()
-      | Failed _ | Crashed _ ->
-        (* the queue behind the failed batch was validated assuming
-           the batch's effects; re-check each survivor against the
-           delta plus the still-valid queue prefix and fail the rest *)
-        let remaining = List.of_seq (Queue.to_seq t.gc_queue) in
-        Queue.clear t.gc_queue;
-        List.iter
-          (fun b ->
-            match check_pending t b.p_record with
-            | Ok () -> Queue.push b t.gc_queue
-            | Error e -> b.p_result <- Some (Error (Mutation_error e)))
-          remaining);
+          batch;
+        rebase t);
       t.gc_leader <- false;
       Condition.broadcast t.gc_done;
       match outcome with Crashed e -> raise e | _ -> drive t p
     end
 
-(* Validate → enqueue → (batched) log → apply. The record reaches the
-   WAL only when it is known to apply cleanly, so recovery never
-   replays a rejected mutation; and it reaches the delta only once it
-   is durable, so an acknowledged mutation survives a crash. *)
+(* Validate (by applying) → enqueue → (batched) log → commit. The
+   record reaches the WAL only when it is known to apply cleanly, so
+   recovery never replays a rejected mutation; and its value is
+   committed only once it is durable, so an acknowledged mutation
+   survives a crash. *)
 let mutate t record =
   locked t (fun () ->
-      match check_pending t record with
+      match Delta.apply (tail t) record with
       | Error e -> Error (Mutation_error e)
-      | Ok () ->
-        let p = { p_record = record; p_result = None } in
+      | Ok d ->
+        let p = { p_record = record; p_delta = d; p_result = None } in
         Queue.push p t.gc_queue;
         drive t p)
 
@@ -308,21 +293,22 @@ let update t ~name ~xml = mutate t (Wal.Update { name; xml })
 (* ------------------------------------------------------------------ *)
 (* Two-level checkpoint.
 
-   [checkpoint_begin] freezes the delta into an immutable segment and
-   rotates the WAL: the committed log becomes [wal.frozen.log] (it
-   holds exactly the records the frozen segment reflects) and a fresh
-   [wal.log] picks up the suffix. Mutations and reads continue
-   immediately — the live delta keeps accumulating on top of the
-   frozen snapshot, and every post-freeze record is also remembered in
-   [ck_suffix].
+   [checkpoint_begin] keeps the committed delta value as the frozen
+   one and rotates the WAL: the committed log becomes [wal.frozen.log]
+   (it holds exactly the records the frozen value reflects) and a
+   fresh [wal.log] picks up the suffix. Mutations and reads continue
+   immediately — later values build on the frozen one, and every
+   post-freeze record is also remembered in [ck_suffix].
 
-   [checkpoint_prepare] (off every lock) merges base + frozen via
-   [Db.compact] and saves the image atomically. [checkpoint_install]
-   (briefly under the mutex) swaps the merged image in as the new base
-   with a fresh delta rebuilt by replaying the suffix, and deletes the
-   frozen log — the live [wal.log] already holds exactly the
-   still-pending records. [checkpoint_abort] undoes a failed merge by
-   rebuilding a single live log (frozen records + suffix) atomically.
+   [checkpoint_prepare] (off every lock) merges the frozen value's
+   base, index and tombstones via [Db.compact] and saves the image
+   atomically. [checkpoint_install] (briefly under the mutex) commits
+   a value over the merged image, rebuilt by replaying the suffix,
+   re-derives the queue from it, and deletes the frozen log — the live
+   [wal.log] already holds exactly the still-pending records.
+   [checkpoint_abort] undoes a failed merge by rebuilding a single
+   live log (frozen records + suffix) atomically; the committed value
+   already holds both.
 
    Crash matrix: before the rotation rename → the single-log open
    recovers as before; between rotation and install → [open_dir]
@@ -332,9 +318,14 @@ let update t ~name ~xml = mutate t (Wal.Update { name; xml })
    idempotent. No acknowledged record is ever outside
    [checkpoint image ∪ wal.frozen.log ∪ wal.log]. *)
 
-type checkpoint_token = Delta.frozen
+type checkpoint_token = Delta.t
 
 let checkpoint_in_progress t = locked t (fun () -> t.frozen <> None)
+
+let wait_batch t =
+  while t.gc_leader do
+    Condition.wait t.gc_done t.mutex
+  done
 
 let rotate_wal t =
   let dir = t.t_dir in
@@ -361,23 +352,20 @@ let checkpoint_begin t =
       else begin
         (* wait out any in-flight batch: rotation must not move the
            log under a leader's feet, and every committed record must
-           be applied before the freeze so snapshot = rotated log *)
-        while t.gc_leader do
-          Condition.wait t.gc_done t.mutex
-        done;
+           be in the frozen value so frozen = rotated log *)
+        wait_batch t;
         if t.frozen <> None then Error Checkpoint_in_progress
         else begin
           match rotate_wal t with
           | Error e -> Error e
           | Ok () ->
-            let frozen = Delta.freeze t.delta in
+            let frozen = t.delta in
             t.frozen <- Some frozen;
             t.ck_suffix <- [];
             Log.info (fun m ->
                 m "%s: checkpoint began (%d delta docs, %d tombstones frozen)"
-                  t.t_dir
-                  (Delta.frozen_doc_count frozen)
-                  (Delta.frozen_tombstone_count frozen));
+                  t.t_dir (Delta.doc_count frozen)
+                  (Delta.tombstone_count frozen));
             Ok frozen
         end
       end)
@@ -387,10 +375,8 @@ let checkpoint_prepare ?path t (frozen : checkpoint_token) =
     match path with Some p -> p | None -> checkpoint_path ~dir:t.t_dir
   in
   let merged =
-    Db.compact
-      ~base:(Delta.frozen_base frozen)
-      ~delta:(Delta.frozen_db frozen)
-      ~tombstones:(Delta.frozen_tombstones frozen)
+    Db.compact ~base:(Delta.base frozen) ~delta:(Delta.db frozen)
+      ~tombstones:(Delta.tombstones frozen)
   in
   match Db.save merged path with
   | exception Sys_error detail ->
@@ -399,11 +385,15 @@ let checkpoint_prepare ?path t (frozen : checkpoint_token) =
 
 let checkpoint_install t merged path =
   locked t (fun () ->
+      (* an in-flight batch must land in [ck_suffix] before the replay,
+         and its values sit on the old base *)
+      wait_batch t;
       let suffix = List.rev t.ck_suffix in
-      let delta' = Delta.create ~base:merged in
-      let (_ : Delta.replay_report) = Delta.replay delta' suffix in
-      t.base <- merged;
-      t.delta <- delta';
+      let delta, (_ : Delta.replay_report) =
+        Delta.replay (Delta.create ~base:merged) suffix
+      in
+      t.delta <- delta;
+      rebase t;
       t.frozen <- None;
       t.ck_suffix <- [];
       t.checkpoints <- t.checkpoints + 1;
@@ -417,9 +407,7 @@ let checkpoint_abort t =
       match t.frozen with
       | None -> Ok ()
       | Some _ ->
-        while t.gc_leader do
-          Condition.wait t.gc_done t.mutex
-        done;
+        wait_batch t;
         if t.frozen = None then Ok ()
         else begin
           let dir = t.t_dir in
@@ -466,10 +454,13 @@ let checkpoint ?path t =
       Ok path
   end
 
-let base t = locked t (fun () -> t.base)
 let delta t = locked t (fun () -> t.delta)
-let view t = locked t (fun () -> (t.base, t.delta))
-let wal t = t.wal
+let base t = Delta.base (delta t)
+
+let view t =
+  let d = delta t in
+  (Delta.base d, d)
+
 let dir t = t.t_dir
 
 type stats = {
@@ -495,13 +486,9 @@ let stats t =
         tombstones = Delta.tombstone_count t.delta;
         checkpoints = t.checkpoints;
         frozen_documents =
-          (match t.frozen with
-          | Some f -> Delta.frozen_doc_count f
-          | None -> 0);
+          (match t.frozen with Some f -> Delta.doc_count f | None -> 0);
         frozen_tombstones =
-          (match t.frozen with
-          | Some f -> Delta.frozen_tombstone_count f
-          | None -> 0);
+          (match t.frozen with Some f -> Delta.tombstone_count f | None -> 0);
         checkpoint_in_progress = t.frozen <> None;
         gc_batches = t.gc_batches;
         gc_records = t.gc_records;

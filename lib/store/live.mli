@@ -1,12 +1,17 @@
 (** A live (updatable) store: immutable base + {!Wal} + {!Delta}.
 
+    The store holds one committed {!Delta.t} value, which names its
+    own base; every durable mutation commits a new value. Readers,
+    checkpoints and validation all read such values, so each sees one
+    consistent state.
+
     The handle owns a directory holding up to three files:
 
     - [wal.log] — the {!Wal}; every mutation is validated, appended
-      and fsynced here {e before} it touches the in-memory delta, so
-      an acknowledged mutation survives a crash,
+      and fsynced here {e before} its value is committed, so an
+      acknowledged mutation survives a crash,
     - [wal.frozen.log] — present only while a checkpoint is in
-      flight: the rotated log covering the frozen delta segment, and
+      flight: the rotated log covering the frozen delta value, and
     - [checkpoint.tix] — the most recent checkpoint image; absent
       until the first {!checkpoint}.
 
@@ -23,14 +28,17 @@
       the record; the store equals the post-op state;
     - never anything in between.
 
-    {b Group commit.} Concurrent mutations coalesce: writers enqueue
-    validated records and the first to find no active batch leader
-    commits the whole queue (up to [wal_batch] records) with one
-    contiguous write and a single fsync, then applies the batch to
-    the delta in order and wakes every waiter. Durability is
-    unchanged — a mutation is acknowledged only after the fsync
-    covering its frame returns — but N acknowledgements share one
-    sync. A single-threaded caller degenerates to batches of one,
+    {b Group commit.} Concurrent mutations coalesce: a writer
+    validates its record by applying it to the queue's tail value
+    (the committed value plus every queued record) and enqueues it
+    with the value that gives; the first to find no active batch
+    leader commits the whole queue (up to [wal_batch] records) with
+    one contiguous write and a single fsync, then commits the last
+    record's value and wakes every waiter. Durability is unchanged —
+    a mutation is acknowledged only after the fsync covering its
+    frame returns — but N acknowledgements share one sync. A failed
+    batch re-derives the queued values from the committed one. A
+    single-threaded caller degenerates to batches of one,
     byte-identical to per-op commits.
 
     Mutations are serialized by an internal mutex; readers never take
@@ -86,8 +94,8 @@ val open_dir :
 val insert : t -> name:string -> xml:string -> (unit, error) result
 val delete : t -> name:string -> (unit, error) result
 val update : t -> name:string -> xml:string -> (unit, error) result
-(** Validate, append to the WAL (fsync, possibly batched with
-    concurrent mutations), then apply to the delta. On [Ok] the
+(** Validate by applying, append to the WAL (fsync, possibly batched
+    with concurrent mutations), then commit the new value. On [Ok] the
     mutation is durable. On [Error] nothing changed — invalid
     mutations are rejected before they reach the log, and an fsync
     failure fails every record the sync covered. May raise
@@ -96,38 +104,39 @@ val update : t -> name:string -> xml:string -> (unit, error) result
 
 (** {1 Checkpointing}
 
-    [checkpoint_begin] freezes the delta and rotates the WAL so
-    mutations and reads continue immediately; [checkpoint_prepare]
-    merges and saves the image off every lock; [checkpoint_install]
-    atomically swaps the merged base in, carrying the post-freeze
-    suffix into a fresh delta. {!checkpoint} composes the three
-    synchronously. *)
+    [checkpoint_begin] keeps the committed value as the frozen one
+    and rotates the WAL so mutations and reads continue immediately;
+    [checkpoint_prepare] merges and saves the image off every lock;
+    [checkpoint_install] atomically commits a value over the merged
+    base, carrying the post-freeze suffix. {!checkpoint} composes the
+    three synchronously. *)
 
 type checkpoint_token
 
 val checkpoint_begin : t -> (checkpoint_token, error) result
-(** Freeze the current delta into an immutable segment and rotate
-    [wal.log] to [wal.frozen.log] (a fresh live log picks up the
-    suffix). Waits out any in-flight commit batch; mutations resume
-    as soon as this returns. *)
+(** Keep the committed value as the frozen one and rotate [wal.log]
+    to [wal.frozen.log] (a fresh live log picks up the suffix). Waits
+    out any in-flight commit batch; mutations resume as soon as this
+    returns. *)
 
 val checkpoint_prepare :
   ?path:string -> t -> checkpoint_token -> (Db.t * string, error) result
-(** Merge base + frozen segment − tombstones into a fresh immutable
-    database ({!Db.compact}) and save it atomically to [path]
+(** Merge the frozen value's base, index and tombstones into a fresh
+    immutable database ({!Db.compact}) and save it atomically to [path]
     (default [checkpoint.tix] in the store's directory). Takes no
     lock — mutations proceed concurrently. *)
 
 val checkpoint_install : t -> Db.t -> string -> unit
-(** Swap the merged database in as the new base, rebuild the delta by
-    replaying the post-freeze suffix, and delete the frozen log (the
-    live [wal.log] already holds exactly the still-pending records).
-    Briefly takes the mutation mutex. *)
+(** Commit a value over the merged database, built by replaying the
+    post-freeze suffix, re-derive the queued mutations from it, and
+    delete the frozen log (the live [wal.log] already holds exactly
+    the still-pending records). Waits out any in-flight commit batch;
+    briefly takes the mutation mutex. *)
 
 val checkpoint_abort : t -> (unit, error) result
 (** Undo {!checkpoint_begin} after a failed prepare: atomically
     rebuild a single live log (frozen records + suffix) and drop the
-    frozen segment. No-op when no checkpoint is in flight. *)
+    frozen value. No-op when no checkpoint is in flight. *)
 
 val checkpoint_in_progress : t -> bool
 
@@ -136,22 +145,15 @@ val checkpoint : ?path:string -> t -> (string, error) result
     run synchronously (aborting on a failed prepare). Returns the
     image path. *)
 
-val base : t -> Db.t
-(** The current base snapshot (changes only when a checkpoint
-    installs). *)
-
 val delta : t -> Delta.t
-(** The current delta segment (replaced when a checkpoint
+(** The committed value: every acknowledged mutation applied. *)
+
+val base : t -> Db.t
+(** The committed value's base (changes only when a checkpoint
     installs). *)
 
 val view : t -> Db.t * Delta.t
-(** The current (base, delta) pair read atomically under the mutation
-    mutex. A checkpoint install swaps both together, so a reader
-    composing {!base} and {!delta} separately could pair the old base
-    with the new delta — use this when a checkpoint may be racing. *)
-
-val wal : t -> Wal.t
-(** The current live log handle (swapped at checkpoint rotation). *)
+(** The committed value with its own base. *)
 
 val dir : t -> string
 
@@ -162,7 +164,7 @@ type stats = {
   delta_documents : int;  (** all un-checkpointed delta documents *)
   tombstones : int;
   checkpoints : int;  (** checkpoints installed through this handle *)
-  frozen_documents : int;  (** documents in the frozen segment (0 when
+  frozen_documents : int;  (** documents in the frozen value (0 when
                                no checkpoint is in flight) *)
   frozen_tombstones : int;
   checkpoint_in_progress : bool;

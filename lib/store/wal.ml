@@ -34,7 +34,7 @@ type t = {
   mutable length : int;  (* committed bytes, header included *)
   mutable records : int;  (* committed records *)
   mutable appends : int;  (* appends attempted through this handle *)
-  mutable fault : Fault.t option;
+  fault : Fault.t option;
   mutable closed : bool;
 }
 
@@ -394,28 +394,11 @@ let save_records path records =
   | Error e -> Error e
   | Ok () -> io_error path (fun () -> Sys.rename tmp path)
 
-let reset t =
-  if t.closed then
-    Error (Io_error { path = t.t_path; detail = "log handle is closed" })
-  else begin
-    match
-      io_error t.t_path (fun () ->
-          Unix.ftruncate t.fd (String.length magic);
-          Unix.fsync t.fd)
-    with
-    | Error e -> Error e
-    | Ok () ->
-      t.length <- String.length magic;
-      t.records <- 0;
-      Ok ()
-  end
-
 let path t = t.t_path
 let record_count (t : t) = t.records
 let byte_size t = t.length
 let append_index t = t.appends
 let set_append_index t i = t.appends <- i
-let set_fault t f = t.fault <- f
 let fault t = t.fault
 
 let close t =

@@ -105,11 +105,6 @@ val set_append_index : t -> int -> unit
     handle opened mid-stream inherits the old handle's counter so
     armed fault op indices stay unambiguous. *)
 
-val reset : t -> (unit, error) result
-(** Truncate the log back to an empty (header-only) file — the
-    post-checkpoint state. Fsyncs before returning. *)
-
-val set_fault : t -> Fault.t option -> unit
 val fault : t -> Fault.t option
 
 val close : t -> unit

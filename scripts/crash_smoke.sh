@@ -12,7 +12,10 @@
 #     generation, and a third restart boots from that image alone,
 #   - documents acked while an async (wait:false) checkpoint is in
 #     flight survive a kill -9 landing mid-checkpoint: the fourth
-#     boot merges the rotated frozen log back and loses nothing.
+#     boot merges the rotated frozen log back and loses nothing,
+#   - with 4 writers ingesting at once (a fresh server on a WAL
+#     directory of its own), a search run right after each ack finds
+#     the acknowledged document.
 # Every server runs with --wal-batch 8, so recovery is exercised
 # against group-committed (batched) WAL frames throughout.
 # Exits non-zero on the first failed check.
@@ -22,6 +25,7 @@ TIXDB=${TIXDB:-_build/default/bin/tixdb.exe}
 TIXD=${TIXD:-_build/default/bin/tixd.exe}
 
 WORK=$(mktemp -d)
+WAL="$WORK/wal"
 SERVER_PID=
 cleanup() {
   if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
@@ -36,7 +40,7 @@ fail() { echo "FAIL: $*" >&2; sed 's/^/  tixd: /' "$WORK/tixd.log" >&2 || true; 
 
 start_server() { # args: extra tixd arguments...
   : > "$WORK/tixd.log"
-  "$TIXD" --port 0 --wal-dir "$WORK/wal" --wal-batch 8 "$@" >"$WORK/tixd.log" 2>&1 &
+  "$TIXD" --port 0 --wal-dir "$WAL" --wal-batch 8 "$@" >"$WORK/tixd.log" 2>&1 &
   SERVER_PID=$!
   PORT=
   for _ in $(seq 1 100); do
@@ -242,6 +246,53 @@ for i in $(seq 0 $((RECOVERED - 1))); do
   present "$i" || fail "doc-$i lost after the mid-checkpoint crash"
 done
 echo "   all $RECOVERED pre-existing documents still present"
+
+kill -TERM "$SERVER_PID" 2>/dev/null || true
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=
+
+echo "== concurrent ingest: each ack is served by the next search"
+WAL="$WORK/wal-concurrent"
+# shellcheck disable=SC2086
+start_server $BASE_FILES
+echo "   port $PORT"
+WRITERS=4
+PER=30
+# 800 words a document: each publish indexes every pending document,
+# which leaves time for another writer's commit to land meanwhile
+FILLER=$(seq 1 800 | sed 's/^/filler/' | tr '\n' ' ')
+# the response's own result count, read from its leading fields (the
+# "timings" object has a "total" key too)
+search_total() {
+  client --search "$1" | sed -n 's/^{"ok":true,"total":\([0-9][0-9]*\)[,}].*/\1/p'
+}
+ingest_loop() { # args: writer
+  local w=$1 j doc n
+  for j in $(seq 0 $((PER - 1))); do
+    doc="$WORK/docs/cc-$w-$j.xml"
+    printf '<article><title>concurrent doc %d %d</title><sec><p>ccprobe%dx%d concurrent term</p><p>%s</p></sec></article>' \
+      "$w" "$j" "$w" "$j" "$FILLER" > "$doc"
+    "$TIXDB" ingest --port "$PORT" "$doc" | grep -q '"ok":true' \
+      || { echo "ingest cc-$w-$j failed"; return 1; }
+    n=$(search_total "ccprobe${w}x${j}")
+    [ "${n:-0}" -ge 1 ] \
+      || { echo "cc-$w-$j acked but not served (total ${n:-missing})"; return 1; }
+  done
+}
+PIDS=
+for w in $(seq 0 $((WRITERS - 1))); do
+  ingest_loop "$w" > "$WORK/cc-$w.log" 2>&1 &
+  PIDS="$PIDS $!"
+done
+FAILED=0
+for pid in $PIDS; do
+  wait "$pid" || FAILED=1
+done
+if [ "$FAILED" != 0 ]; then
+  cat "$WORK"/cc-*.log >&2
+  fail "a concurrently ingested document was not served after its ack"
+fi
+echo "   all $((WRITERS * PER)) concurrently acked documents were served"
 
 kill -TERM "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true

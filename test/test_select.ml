@@ -45,13 +45,13 @@ let snapshots seed articles =
   let xml i = Xmlkit.Printer.to_string (snd (List.nth fresh i)) in
   let delta = Store.Delta.create ~base in
   let ok = function
-    | Ok () -> ()
+    | Ok delta -> delta
     | Error e -> failwith (Store.Delta.mutation_error_to_string e)
   in
-  ok (Store.Delta.delete delta ~name:"article-0.xml");
-  ok (Store.Delta.update delta ~name:"article-1.xml" ~xml:(xml 0));
-  ok (Store.Delta.insert delta ~name:"article-new.xml" ~xml:(xml 1));
-  ok (Store.Delta.insert delta ~name:"extra.xml" ~xml:(xml 2));
+  let delta = ok (Store.Delta.delete delta ~name:"article-0.xml") in
+  let delta = ok (Store.Delta.update delta ~name:"article-1.xml" ~xml:(xml 0)) in
+  let delta = ok (Store.Delta.insert delta ~name:"article-new.xml" ~xml:(xml 1)) in
+  let delta = ok (Store.Delta.insert delta ~name:"extra.xml" ~xml:(xml 2)) in
   let plain = snapshot_exn base in
   [ ("plain", plain); ("overlay", Service.Engine.with_delta plain delta) ]
 

@@ -1189,6 +1189,39 @@ let test_tcp_server () =
           (Service.Json.member "scheduler" j <> None)
       | _ -> Alcotest.fail "no stats response")
 
+(* a line one byte over the cap is answered with a typed error, and
+   the same connection then serves the next request *)
+let test_request_line_bound () =
+  let pool = Service.Scheduler.create ~workers:1 ~queue_depth:8 (Lazy.force snapshot) in
+  let server = Service.Server.start ~port:0 pool in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Server.stop server;
+      Service.Scheduler.shutdown pool)
+    (fun () ->
+      let cap = Service.Server.max_line_bytes in
+      match
+        send_lines (Service.Server.port server)
+          [ String.make (cap + 1) 'x'; {|{"op":"health"}|} ]
+      with
+      | [ over; health ] ->
+        let error =
+          match Service.Json.parse over with
+          | Ok j -> Service.Json.member "error" j
+          | Error _ -> None
+        in
+        let field name =
+          Option.bind error (fun e ->
+              Option.bind (Service.Json.member name e) Service.Json.to_string_opt)
+        in
+        check (Alcotest.option string_) "over-long line is a bad_request"
+          (Some "bad_request") (field "code");
+        check (Alcotest.option string_) "the error names the cap"
+          (Some (Printf.sprintf "request line exceeds %d bytes" cap))
+          (field "message");
+        check bool_ "the connection serves the next line" true (is_ok health)
+      | other -> Alcotest.failf "expected 2 responses, got %d" (List.length other))
+
 (* ------------------------------------------------------------------ *)
 (* Intra-query parallelism plumbing *)
 
@@ -1340,5 +1373,9 @@ let () =
           Alcotest.test_case "parallel = sequential rows" `Quick
             test_scheduler_parallelism;
         ] );
-      ("server", [ Alcotest.test_case "tcp" `Slow test_tcp_server ]);
+      ( "server",
+        [
+          Alcotest.test_case "tcp" `Slow test_tcp_server;
+          Alcotest.test_case "request line bound" `Quick test_request_line_bound;
+        ] );
     ]

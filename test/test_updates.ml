@@ -238,14 +238,6 @@ let test_wal_roundtrip () =
         (recovery.Store.Wal.records = script);
       check int_ "clean log truncates nothing" 0
         recovery.Store.Wal.truncated_bytes;
-      (* reset = the post-checkpoint state *)
-      (match Store.Wal.reset wal with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "reset: %s" (Store.Wal.error_to_string e));
-      check int_ "reset empties" 0 (Store.Wal.record_count wal);
-      Store.Wal.close wal;
-      let wal, recovery = wal_open_exn path in
-      check int_ "reset is durable" 0 (List.length recovery.Store.Wal.records);
       Store.Wal.close wal)
 
 (* frame length (header+payload+commit) of each script record,
@@ -547,31 +539,31 @@ let test_delta_strict_errors () =
 let test_delta_update_in_place () =
   let d = Store.Delta.create ~base:(mk_base ()) in
   let ok = function
-    | Ok () -> ()
+    | Ok d -> d
     | Error e ->
       Alcotest.failf "delta: %s" (Store.Delta.mutation_error_to_string e)
   in
-  ok (Store.Delta.insert d ~name:"x.xml" ~xml:doc_a);
-  ok (Store.Delta.insert d ~name:"y.xml" ~xml:doc_b);
+  let d = ok (Store.Delta.insert d ~name:"x.xml" ~xml:doc_a) in
+  let d = ok (Store.Delta.insert d ~name:"y.xml" ~xml:doc_b) in
   (* update of a delta doc replaces in place — arrival order keeps *)
-  ok (Store.Delta.update d ~name:"x.xml" ~xml:doc_c);
+  let d = ok (Store.Delta.update d ~name:"x.xml" ~xml:doc_c) in
   check bool_ "order preserved, content replaced" true
     (Store.Delta.documents d = [ ("x.xml", doc_c); ("y.xml", doc_b) ]);
   check int_ "no tombstones for delta-only churn" 0
     (Store.Delta.tombstone_count d);
   (* update of a base doc tombstones it and appends *)
-  ok (Store.Delta.update d ~name:"d2.xml" ~xml:doc_a);
+  let d = ok (Store.Delta.update d ~name:"d2.xml" ~xml:doc_a) in
   check int_ "base update tombstones" 1 (Store.Delta.tombstone_count d);
   check bool_ "base update appends" true
     (List.map fst (Store.Delta.documents d) = [ "x.xml"; "y.xml"; "d2.xml" ]);
   check bool_ "name still live" true (Store.Delta.mem d "d2.xml");
   (* delete of a delta doc removes it entirely *)
-  ok (Store.Delta.delete d ~name:"y.xml");
+  let d = ok (Store.Delta.delete d ~name:"y.xml") in
   check bool_ "deleted delta doc is gone" false (Store.Delta.mem d "y.xml")
 
 let test_delta_lenient_replay () =
   let d = Store.Delta.create ~base:(mk_base ()) in
-  let report =
+  let d, report =
     Store.Delta.replay d
       [
         (* insert of a live (base) name degrades to update *)
@@ -694,16 +686,20 @@ let test_query_tombstoned_top_rows () =
   List.iter
     (fun (what, inserts) ->
       let delta = Store.Delta.create ~base in
-      (match Store.Delta.delete delta ~name:"hot.xml" with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "delete: %s" (Store.Delta.mutation_error_to_string e));
-      List.iter
-        (fun (name, xml) ->
-          match Store.Delta.insert delta ~name ~xml with
-          | Ok () -> ()
-          | Error e ->
-            Alcotest.failf "insert: %s" (Store.Delta.mutation_error_to_string e))
-        inserts;
+      let delta =
+        match Store.Delta.delete delta ~name:"hot.xml" with
+        | Ok delta -> delta
+        | Error e -> Alcotest.failf "delete: %s" (Store.Delta.mutation_error_to_string e)
+      in
+      let delta =
+        List.fold_left
+          (fun delta (name, xml) ->
+            match Store.Delta.insert delta ~name ~xml with
+            | Ok delta -> delta
+            | Error e ->
+              Alcotest.failf "insert: %s" (Store.Delta.mutation_error_to_string e))
+          delta inserts
+      in
       let live = run (Service.Engine.with_delta (snapshot_exn base) delta) in
       let rebuilt = run (snapshot_exn (Store.Db.of_documents (parse_docs (base_docs @ inserts)))) in
       check int_ (what ^ ": 3 rows") 3 (List.length live.Service.Engine.rows);
@@ -719,13 +715,16 @@ let rebuild_of (s : Service.Engine.snapshot) =
 
 let delta_exn base ~deleted ~inserted =
   let ok = function
-    | Ok () -> ()
+    | Ok delta -> delta
     | Error e -> Alcotest.failf "delta: %s" (Store.Delta.mutation_error_to_string e)
   in
   let delta = Store.Delta.create ~base in
-  List.iter (fun name -> ok (Store.Delta.delete delta ~name)) deleted;
-  List.iter (fun (name, xml) -> ok (Store.Delta.insert delta ~name ~xml)) inserted;
-  delta
+  let delta =
+    List.fold_left (fun delta name -> ok (Store.Delta.delete delta ~name)) delta deleted
+  in
+  List.fold_left
+    (fun delta (name, xml) -> ok (Store.Delta.insert delta ~name ~xml))
+    delta inserted
 
 let test_interp_over_delta () =
   (* the interpreter fallback stays available over a pending delta:
@@ -1356,6 +1355,63 @@ let test_live_group_commit_crash_recovers_acked () =
           Store.Live.close reopened.Store.Live.live))
     [ (0, 3); (5, 0); (11, 7); (17, 25) ]
 
+let test_live_failed_batch_revalidates () =
+  (* fsync failures fail whole batches while writers race over a few
+     shared names, so the records queued behind each failed batch must
+     be re-derived from the committed value: afterwards the log holds
+     only records that apply strictly in order, and the store, before
+     and after a reopen, equals that strict replay *)
+  with_dir (fun dir ->
+      let fault = Store.Fault.create () in
+      let opened = open_live ~fault ~wal_batch:4 dir in
+      let live = opened.Store.Live.live in
+      List.iter
+        (fun op -> Store.Fault.arm_write_fault fault ~op Store.Fault.Fail_fsync)
+        [ 3; 9; 15; 21; 27; 33; 39; 45 ];
+      let names = [| "d0.xml"; "d1.xml"; "x0.xml"; "x1.xml"; "x2.xml" |] in
+      let xmls = [| doc_a; doc_b; doc_c |] in
+      join_all
+        (List.init 6 (fun w ->
+             Thread.create
+               (fun () ->
+                 let rng = Random.State.make [| 23; w |] in
+                 for _ = 1 to 25 do
+                   let name = names.(Random.State.int rng (Array.length names)) in
+                   let xml = xmls.(Random.State.int rng (Array.length xmls)) in
+                   let record =
+                     match Random.State.int rng 3 with
+                     | 0 -> Store.Wal.Insert { name; xml }
+                     | 1 -> Store.Wal.Delete { name }
+                     | _ -> Store.Wal.Update { name; xml }
+                   in
+                   ignore (apply_live live record)
+                 done)
+               ()));
+      check bool_ "fsync failures fired" true
+        ((Store.Fault.stats fault).Store.Fault.failed_fsyncs > 0);
+      let state d =
+        (List.map fst (Store.Delta.documents d), Store.Delta.tombstone_count d)
+      in
+      let before = state (Store.Live.delta live) in
+      Store.Live.close live;
+      let reopened = open_live dir in
+      let strict =
+        List.fold_left
+          (fun (i, d) record ->
+            match Store.Delta.apply d record with
+            | Ok d -> (i + 1, d)
+            | Error e ->
+              Alcotest.failf "logged record %d does not apply: %s" i
+                (Store.Delta.mutation_error_to_string e))
+          (0, Store.Delta.create ~base:(mk_base ()))
+          reopened.Store.Live.recovery.Store.Wal.records
+        |> snd |> state
+      in
+      check bool_ "store = strict replay of its log" true (before = strict);
+      check bool_ "reopened store = strict replay of its log" true
+        (state (Store.Live.delta reopened.Store.Live.live) = strict);
+      Store.Live.close reopened.Store.Live.live)
+
 (* ------------------------------------------------------------------ *)
 (* Two-level delta: freeze / prepare / install, abort, and the crash
    windows in between. *)
@@ -1651,6 +1707,98 @@ let test_updates_coordinator () =
         Alcotest.failf "checkpoint: %s" (Service.Updates.error_message e));
       check bool_ "post-checkpoint snapshot has no delta" true
         ((Service.Scheduler.snapshot scheduler).Service.Engine.delta = None))
+
+(* Regression: the snapshot published after an ack serves the
+   acknowledged document. A delta index built lazily from a mutable
+   delta could be stored after a concurrent commit changed the delta,
+   and later publishes then served that stale index without the
+   writer's own document. *)
+let test_read_your_writes () =
+  let articles = 150 and writers = 8 and per = 60 in
+  let cfg =
+    {
+      Workload.Corpus.default with
+      articles;
+      seed = 11;
+      chapters_per_article = 1;
+      sections_per_chapter = 2;
+      paragraphs_per_section = 2;
+      words_per_paragraph = 10;
+    }
+  in
+  let base = Store.Db.of_documents (List.of_seq (Workload.Corpus.generate cfg)) in
+  (* one written article per writer: each publish indexes every
+     pending one, which gives a concurrent commit time to land *)
+  let written =
+    Workload.Corpus.generate
+      { cfg with articles = writers; seed = 12; sections_per_chapter = 1 }
+    |> Seq.map (fun (_, tree) -> Xmlkit.Printer.to_string tree)
+    |> Array.of_seq
+  in
+  with_dir (fun dir ->
+      let live =
+        match Store.Live.open_dir ~base ~dir () with
+        | Ok o -> o.Store.Live.live
+        | Error e -> Alcotest.failf "open_dir: %s" (Store.Live.error_to_string e)
+      in
+      let scheduler =
+        Service.Scheduler.create ~workers:1 ~queue_depth:8 (live_snapshot live)
+      in
+      let updates = Service.Updates.create ~live ~scheduler () in
+      Fun.protect
+        ~finally:(fun () ->
+          Service.Updates.shutdown updates;
+          Service.Scheduler.shutdown scheduler;
+          Store.Live.close live)
+        (fun () ->
+          (* an untombstoned base name or a name in the delta catalog *)
+          let served (snap : Service.Engine.snapshot) name =
+            let in_base =
+              match
+                Store.Catalog.document_id (Store.Db.catalog snap.Service.Engine.db) name
+              with
+              | None -> false
+              | Some d -> (
+                match snap.Service.Engine.delta with
+                | None -> true
+                | Some dv -> not dv.Service.Engine.tombstones.(d))
+            in
+            in_base
+            ||
+            match snap.Service.Engine.delta with
+            | Some { Service.Engine.delta_db = Some (ddb, _); _ } ->
+              Store.Catalog.document_id (Store.Db.catalog ddb) name <> None
+            | _ -> false
+          in
+          let refused = Atomic.make 0 and missed = Atomic.make 0 in
+          join_all
+            (List.init writers (fun w ->
+                 Thread.create
+                   (fun () ->
+                     for i = 0 to per - 1 do
+                       let name, outcome =
+                         if i mod 2 = 0 then begin
+                           let name =
+                             Printf.sprintf "article-%d.xml"
+                               (((w * per / 2) + (i / 2)) mod articles)
+                           in
+                           (name, Service.Updates.update updates ~name ~xml:written.(w))
+                         end
+                         else begin
+                           let name = Printf.sprintf "ryw-%d-%d.xml" w i in
+                           (name, Service.Updates.insert updates ~name ~xml:written.(w))
+                         end
+                       in
+                       match outcome with
+                       | Error _ -> Atomic.incr refused
+                       | Ok _ ->
+                         if not (served (Service.Scheduler.snapshot scheduler) name)
+                         then Atomic.incr missed
+                     done)
+                   ()));
+          check int_ "no mutation refused" 0 (Atomic.get refused);
+          check int_ "every ack is served by the snapshot after it" 0
+            (Atomic.get missed)))
 
 let test_protocol_mutation_roundtrip () =
   List.iter
@@ -1976,7 +2124,7 @@ let () =
     [
       ( "wal",
         [
-          tc "roundtrip and reset" `Quick test_wal_roundtrip;
+          tc "roundtrip" `Quick test_wal_roundtrip;
           tc "torn write at every byte" `Quick test_wal_torn_write_every_byte;
           tc "fsync failure rolls back" `Quick
             test_wal_fsync_failure_rolls_back;
@@ -1993,6 +2141,8 @@ let () =
             test_live_group_commit_concurrency;
           tc "crash mid-batch recovers every ack" `Quick
             test_live_group_commit_crash_recovers_acked;
+          tc "failed batch revalidates the queue" `Quick
+            test_live_failed_batch_revalidates;
         ] );
       ( "delta",
         [
@@ -2035,6 +2185,7 @@ let () =
       ( "service",
         [
           tc "coordinator" `Quick test_updates_coordinator;
+          tc "read your writes" `Quick test_read_your_writes;
           tc "protocol roundtrip" `Quick test_protocol_mutation_roundtrip;
           tc "server dispatch" `Quick test_server_dispatch_mutations;
           tc "async checkpoint" `Quick test_updates_async_checkpoint;
