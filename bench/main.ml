@@ -133,6 +133,10 @@ let percentile sorted p =
    here and is dumped as JSON when the run finishes. *)
 let bench_results : (string * float list) list ref = ref []
 
+(* Measurements that are not times (allocated words), dumped with a
+   unit of their own. *)
+let bench_counts : (string * string * float list) list ref = ref []
+
 let json_path =
   match Sys.getenv_opt "TIX_BENCH_JSON" with
   | Some p -> p
@@ -143,6 +147,14 @@ let write_results_json () =
   | [] -> ()
   | entries ->
     let oc = open_out json_path in
+    let count (name, unit, samples) =
+      Printf.sprintf
+        "  {\"experiment\": %S, \"articles\": %d, \"runs\": %d, \"unit\": %S, \
+         \"median\": %.0f, \"min\": %.0f, \"samples\": [%s]}"
+        name articles (List.length samples) unit (median samples)
+        (minimum samples)
+        (String.concat ", " (List.map (Printf.sprintf "%.0f") samples))
+    in
     let entry (name, samples) =
       Printf.sprintf
         "  {\"experiment\": %S, \"articles\": %d, \"runs\": %d, \
@@ -157,7 +169,9 @@ let write_results_json () =
        ingest ratios, parallel speedups) interpretable offline *)
     Printf.fprintf oc "{\"host_cores\": %d,\n\"results\": [\n"
       (Domain.recommended_domain_count ());
-    output_string oc (String.concat ",\n" (List.map entry entries));
+    output_string oc
+      (String.concat ",\n"
+         (List.map entry entries @ List.map count (List.rev !bench_counts)));
     output_string oc "\n]}\n";
     close_out oc;
     Printf.printf "\nwrote %s (%d measurements)\n%!" json_path
@@ -1018,8 +1032,10 @@ let service_bench db =
 
 (* ------------------------------------------------------------------ *)
 (* Live updates: WAL-durable mutation throughput, the query-time
-   overhead of a pending delta against the plain snapshot, and the
-   cost of folding the delta into a fresh image (checkpoint). *)
+   overhead of a pending delta against the plain snapshot, the cost of
+   each checkpoint phase (begin, prepare, install) of folding the delta
+   into a fresh image, and read and write latency while a checkpoint
+   is in flight. *)
 
 let updates_batch_size =
   match Sys.getenv_opt "TIX_BENCH_UPDATES_BATCH" with
@@ -1099,14 +1115,59 @@ let updates_bench db =
         base_ms;
       Printf.printf "%-28s %10.3f ms (+%d-doc delta)\n%!" "ranked top-10"
         delta_ms n;
-      let t0 = Unix.gettimeofday () in
-      (match Store.Live.checkpoint live with
-      | Ok _ -> ()
-      | Error e -> failwith (Store.Live.error_to_string e));
-      let ckpt_s = Unix.gettimeofday () -. t0 in
-      bench_results := ("updates/checkpoint", [ ckpt_s ]) :: !bench_results;
-      Printf.printf "%-28s %10.1f ms (merge + save + wal reset)\n%!"
-        "checkpoint" (ckpt_s *. 1000.);
+      (* the checkpoint's three phases, [runs] times: each round folds
+         a fresh batch of [n] inserts into the image the previous round
+         wrote; prepare's allocation is counted in minor words *)
+      let fill tag =
+        for i = 0 to n - 1 do
+          match
+            Store.Live.insert live
+              ~name:(Printf.sprintf "%s%d.xml" tag i)
+              ~xml:(doc i)
+          with
+          | Ok () -> ()
+          | Error e -> failwith (Store.Live.error_to_string e)
+        done
+      in
+      let ok = function
+        | Ok v -> v
+        | Error e -> failwith (Store.Live.error_to_string e)
+      in
+      let phases =
+        List.init runs (fun r ->
+            if r > 0 then fill (Printf.sprintf "round%d-" r);
+            let t0 = Unix.gettimeofday () in
+            let token = ok (Store.Live.checkpoint_begin live) in
+            let t1 = Unix.gettimeofday () in
+            let w0 = Gc.minor_words () in
+            let merged, path = ok (Store.Live.checkpoint_prepare live token) in
+            let words = Gc.minor_words () -. w0 in
+            let t2 = Unix.gettimeofday () in
+            Store.Live.checkpoint_install live merged path;
+            let t3 = Unix.gettimeofday () in
+            (t1 -. t0, t2 -. t1, t3 -. t2, words))
+      in
+      let column f = List.map f phases in
+      let total = column (fun (b, p, i, _) -> b +. p +. i) in
+      let phase name samples =
+        bench_results := ("updates/checkpoint-" ^ name, samples) :: !bench_results;
+        Printf.printf "%-28s %10.2f ms median, %.2f ms min (%d runs)\n%!"
+          ("checkpoint " ^ name)
+          (median samples *. 1000.)
+          (minimum samples *. 1000.)
+          runs
+      in
+      bench_results := ("updates/checkpoint", total) :: !bench_results;
+      Printf.printf "%-28s %10.1f ms median (begin + prepare + install)\n%!"
+        "checkpoint" (median total *. 1000.);
+      phase "begin" (column (fun (b, _, _, _) -> b));
+      phase "prepare" (column (fun (_, p, _, _) -> p));
+      phase "install" (column (fun (_, _, i, _) -> i));
+      let words = column (fun (_, _, _, w) -> w) in
+      bench_counts :=
+        ("updates/checkpoint-prepare-minor-words", "words", words) :: !bench_counts;
+      Printf.printf "%-28s %10.2f Mw median, %.2f Mw min\n%!"
+        "checkpoint prepare alloc" (median words /. 1e6) (minimum words /. 1e6);
       (* concurrent writers: the same ingest fanned across threads,
          once with per-op fsync (wal_batch = 1) and once with group
          commit, so the ratio isolates the shared-fsync win *)
@@ -1186,15 +1247,7 @@ let updates_bench db =
       (* read latency while a checkpoint is in flight: refill the
          delta, run the merge on another thread, and sample ranked
          queries against a pinned base+delta view the whole time *)
-      for i = 0 to n - 1 do
-        match
-          Store.Live.insert live
-            ~name:(Printf.sprintf "ck%d.xml" i)
-            ~xml:(doc i)
-        with
-        | Ok () -> ()
-        | Error e -> failwith (Store.Live.error_to_string e)
-      done;
+      fill "ck";
       let base, delta = Store.Live.view live in
       let ck_snapshot =
         match Service.Engine.of_db base with
@@ -1242,6 +1295,55 @@ let updates_bench db =
          checkpoint in flight)\n\
          %!"
         "ranked during checkpoint" (p50 *. 1000.) (p99 *. 1000.) !in_flight
+        (Array.length sorted);
+      (* write latency while a checkpoint is in flight: refill the
+         delta, run the checkpoint on another thread and time
+         WAL-durable inserts on this one. An insert gives up the
+         runtime lock for its fsync and must take it back from the
+         merging thread, as a connection thread does; the reads above
+         never give it up, so they cannot show that wait. *)
+      fill "wck";
+      let ck_done = Atomic.make false in
+      let ck_err = ref None in
+      let ck_thread =
+        Thread.create
+          (fun () ->
+            (match Store.Live.checkpoint live with
+            | Ok _ -> ()
+            | Error e -> ck_err := Some (Store.Live.error_to_string e));
+            Atomic.set ck_done true)
+          ()
+      in
+      let wlats = ref [] in
+      let i = ref 0 in
+      while not (Atomic.get ck_done) do
+        let t0 = Unix.gettimeofday () in
+        (match
+           Store.Live.insert live
+             ~name:(Printf.sprintf "during%d.xml" !i)
+             ~xml:(doc !i)
+         with
+        | Ok () -> ()
+        | Error e -> failwith (Store.Live.error_to_string e));
+        wlats := (Unix.gettimeofday () -. t0) :: !wlats;
+        incr i
+      done;
+      Thread.join ck_thread;
+      (match !ck_err with Some e -> failwith e | None -> ());
+      let sorted = Array.of_list !wlats in
+      Array.sort compare sorted;
+      let p50 = percentile sorted 0.5 and p99 = percentile sorted 0.99 in
+      let worst = if sorted = [||] then nan else sorted.(Array.length sorted - 1) in
+      bench_results :=
+        ("updates/insert-p50-during-ckpt", [ p50 ])
+        :: ("updates/insert-p99-during-ckpt", [ p99 ])
+        :: ("updates/insert-max-during-ckpt", [ worst ])
+        :: !bench_results;
+      Printf.printf
+        "%-28s p50 %6.3f ms  p99 %6.3f ms  max %6.3f ms (%d inserts with \
+         the checkpoint in flight)\n\
+         %!"
+        "insert during checkpoint" (p50 *. 1000.) (p99 *. 1000.) (worst *. 1000.)
         (Array.length sorted);
       Store.Live.close live)
 

@@ -74,6 +74,9 @@ let buf_sub_string buf off len =
       invalid_arg "Codec.buf_sub_string";
     String.init len (fun i -> Bigarray.Array1.unsafe_get m (off + i))
 
+external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
+external bytes_set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let buf_blit buf ~src_off dst ~dst_off ~len =
   match buf with
   | B b -> Bytes.blit b src_off dst dst_off len
@@ -84,7 +87,12 @@ let buf_blit buf ~src_off dst ~dst_off ~len =
       || dst_off < 0
       || dst_off + len > Bytes.length dst
     then invalid_arg "Codec.buf_blit";
-    for i = 0 to len - 1 do
+    let i = ref 0 in
+    while !i + 8 <= len do
+      bytes_set64u dst (dst_off + !i) (bigstring_get64u m (src_off + !i));
+      i := !i + 8
+    done;
+    for i = !i to len - 1 do
       Bytes.unsafe_set dst (dst_off + i)
         (Bigarray.Array1.unsafe_get m (src_off + i))
     done
@@ -123,7 +131,23 @@ let packed_bytes ~n ~width = ((n * width) + 7) / 8
    each completed byte so no shift ever overflows 63-bit ints. *)
 let pack_bits out vals n width =
   assert (width >= 0 && width <= max_bit_width);
-  if width > 0 then begin
+  if width > 0 && width <= 55 then begin
+    (* whole values into a rolling window: fewer than 8 bits stay
+       pending, so the window holds at most [width + 7 <= 62] bits *)
+    let mask = (1 lsl width) - 1 in
+    let acc = ref 0 and bits = ref 0 in
+    for i = 0 to n - 1 do
+      acc := !acc lor ((vals.(i) land mask) lsl !bits);
+      bits := !bits + width;
+      while !bits >= 8 do
+        Buffer.add_char out (Char.unsafe_chr (!acc land 0xFF));
+        acc := !acc lsr 8;
+        bits := !bits - 8
+      done
+    done;
+    if !bits > 0 then Buffer.add_char out (Char.unsafe_chr !acc)
+  end
+  else if width > 0 then begin
     let acc = ref 0 and bits = ref 0 in
     for i = 0 to n - 1 do
       let v = ref vals.(i) and remaining = ref width in

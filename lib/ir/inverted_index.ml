@@ -58,11 +58,11 @@ let per_term b id =
 
 let normalize b term = if b.stem then Stemmer.stem term else term
 
-let add_normalized_occurrence b ~doc ~node ~term ~pos =
-  let id = Dictionary.intern b.dict term in
+let add_occurrence b ~doc ~node ~term ~pos =
+  let id = Dictionary.intern b.dict (normalize b term) in
   let pt = per_term b id in
   (match pt.build with
-  | Some pb -> Postings.add pb { Postings.doc; node; pos }
+  | Some pb -> Postings.push pb ~doc ~node ~pos
   | None -> assert false (* builders are never frozen before [freeze] *));
   if pt.last_doc <> doc then begin
     pt.doc_freq <- pt.doc_freq + 1;
@@ -70,9 +70,6 @@ let add_normalized_occurrence b ~doc ~node ~term ~pos =
   end;
   if doc >= b.docs then b.docs <- doc + 1;
   b.occurrences <- b.occurrences + 1
-
-let add_occurrence b ~doc ~node ~term ~pos =
-  add_normalized_occurrence b ~doc ~node ~term:(normalize b term) ~pos
 
 let index_text b ~doc ~node ~start_pos text =
   Tokenizer.fold ~start_pos
@@ -99,6 +96,80 @@ let freeze b =
     is_stemmed = b.stem;
   }
 
+(* Each term's list is one unboxed scan of the base list through
+   [remap], then the delta's list shifted by its offset, into one
+   builder. Terms keep the order a re-add interns them in: base terms
+   with a surviving occurrence in base id order, then the delta's
+   other terms in delta id order. *)
+let merge ~base ~remap ~delta =
+  let dict = Dictionary.create () in
+  let lists = ref [] and documents = ref 0 and total = ref 0 in
+  let pb = Postings.builder () and df = ref 0 and last = ref (-1) in
+  let push doc node pos =
+    if doc <> !last then begin
+      incr df;
+      last := doc
+    end;
+    Postings.push pb ~doc ~node ~pos
+  in
+  (* close the list pushed so far under [term] *)
+  let emit term =
+    ignore (Dictionary.intern dict term);
+    let p = Postings.freeze pb in
+    lists := (p, !df) :: !lists;
+    total := !total + Postings.length p;
+    documents := max !documents (!last + 1);
+    df := 0;
+    last := -1
+  in
+  let scan_delta id =
+    Option.iter
+      (fun (d, offset) ->
+        Postings.scan d.postings.(id) (fun doc node pos -> push (offset + doc) node pos))
+      delta
+  in
+  let taken =
+    match delta with
+    | Some (d, _) -> Array.make (Array.length d.postings) false
+    | None -> [||]
+  in
+  for id = 0 to Array.length base.postings - 1 do
+    Postings.scan base.postings.(id) (fun doc node pos ->
+        let doc = remap.(doc) in
+        if doc >= 0 then push doc node pos);
+    if !df > 0 then begin
+      let term = Dictionary.term base.dictionary id in
+      (match delta with
+      | Some (d, _) -> (
+        match Dictionary.find d.dictionary term with
+        | Some did ->
+          taken.(did) <- true;
+          scan_delta did
+        | None -> ())
+      | None -> ());
+      emit term
+    end
+  done;
+  Option.iter
+    (fun (d, _) ->
+      Array.iteri
+        (fun id taken ->
+          if not taken then begin
+            scan_delta id;
+            if !df > 0 then emit (Dictionary.term d.dictionary id)
+          end)
+        taken)
+    delta;
+  let lists = Array.of_list (List.rev !lists) in
+  {
+    dictionary = dict;
+    postings = Array.map fst lists;
+    doc_freqs = Array.map snd lists;
+    documents = !documents;
+    total = !total;
+    is_stemmed = base.is_stemmed;
+  }
+
 let normalize_q t term =
   let term = String.lowercase_ascii term in
   if t.is_stemmed then Stemmer.stem term else term
@@ -121,11 +192,6 @@ let doc_freq t term =
 let document_count t = t.documents
 let dictionary t = t.dictionary
 let stemmed t = t.is_stemmed
-
-let iter_terms t f =
-  for id = 0 to Array.length t.postings - 1 do
-    f (Dictionary.term t.dictionary id) t.postings.(id)
-  done
 
 let stats t =
   {
@@ -171,8 +237,8 @@ let load_buf buf off =
   let documents, off = Codec.read_varint_buf buf off in
   let total, off = Codec.read_varint_buf buf off in
   let n, off = Codec.read_varint_buf buf off in
-  let offs = Array.make (max n 1) 0 in
-  let lens = Array.make (max n 1) 0 in
+  let offs = Array.make n 0 in
+  let lens = Array.make n 0 in
   let postings = Array.make n (Postings.of_list []) in
   let doc_freqs = Array.make n 0 in
   let off = ref off in

@@ -31,14 +31,17 @@ val index_text : builder -> doc:int -> node:int -> start_pos:int -> string -> in
 (** Tokenize a text fragment owned by element [node], indexing every
     token, and return the next free word position. *)
 
-val add_normalized_occurrence :
-  builder -> doc:int -> node:int -> term:string -> pos:int -> unit
-(** Like {!add_occurrence} but the term is taken verbatim — no
-    stemming even in a [~stem:true] builder. For merging an already
-    frozen index into a new builder ({!iter_terms}), where terms are
-    normalized once at original ingest and must not be re-stemmed. *)
-
 val freeze : builder -> t
+
+val merge : base:t -> remap:int array -> delta:(t * int) option -> t
+(** The index of the occurrences of base document [d] under id
+    [remap.(d)] when that is [>= 0] (increasing over the kept
+    documents), followed, for [delta = Some (d, offset)], by every
+    occurrence of [d] under doc [offset + doc], [offset] above every
+    kept id. Terms are taken verbatim (they were normalized at
+    ingest) and one list is built per term from an allocation-free
+    {!Postings.scan} of each source; a term left without occurrences
+    is dropped. Equal to re-adding every surviving occurrence. *)
 
 (** {1 Querying} *)
 
@@ -57,10 +60,6 @@ val document_count : t -> int
 val stats : t -> stats
 val dictionary : t -> Dictionary.t
 val stemmed : t -> bool
-
-val iter_terms : t -> (string -> Postings.t -> unit) -> unit
-(** Iterate every (term, posting list) pair in dictionary id order —
-    the order terms were first interned. *)
 
 (** {1 Serialization} *)
 

@@ -50,7 +50,8 @@ type builder = {
   mutable run_doc : int;
   mutable run_count : int;
   mutable run_first_block : int;
-  mutable rev_runs : (int * int * int) list;  (* first_block, last_block, tf *)
+  mutable blk_tf : int array;
+      (* per block: the largest whole-document run intersecting it *)
 }
 
 let builder () =
@@ -69,22 +70,30 @@ let builder () =
     run_doc = -1;
     run_count = 0;
     run_first_block = 0;
-    rev_runs = [];
+    blk_tf = Array.make 4 0;
   }
 
 let close_run b =
-  if b.run_count > 0 then
-    b.rev_runs <-
-      (b.run_first_block, (b.count - 1) / block_size, b.run_count)
-      :: b.rev_runs
+  if b.run_count > 0 then begin
+    let last = (b.count - 1) / block_size in
+    let cap = Array.length b.blk_tf in
+    if last >= cap then begin
+      let fresh = Array.make (max (2 * cap) (last + 1)) 0 in
+      Array.blit b.blk_tf 0 fresh 0 cap;
+      b.blk_tf <- fresh
+    end;
+    for i = b.run_first_block to last do
+      if b.run_count > b.blk_tf.(i) then b.blk_tf.(i) <- b.run_count
+    done
+  end
 
+(* the widest value's bit count is the bit count of their union *)
 let field_width vals n =
-  let w = ref 0 in
+  let all = ref 0 in
   for i = 0 to n - 1 do
-    let x = Codec.bits_needed vals.(i) in
-    if x > !w then w := x
+    all := !all lor vals.(i)
   done;
-  !w
+  Codec.bits_needed !all
 
 let flush_block b =
   if b.pending > 0 then begin
@@ -101,9 +110,8 @@ let flush_block b =
     b.pending <- 0
   end
 
-let add b occ =
-  if occ.doc < b.last_doc
-     || (occ.doc = b.last_doc && b.count > 0 && occ.pos < b.last_pos)
+let push b ~doc ~node ~pos =
+  if doc < b.last_doc || (doc = b.last_doc && b.count > 0 && pos < b.last_pos)
   then invalid_arg "Postings.add: occurrences out of order";
   if b.count mod block_size = 0 then begin
     (* pack the completed block, close its summary, snapshot the new
@@ -119,39 +127,41 @@ let add b occ =
         sk_prev_doc = b.last_doc;
         sk_prev_node = b.last_node;
         sk_prev_pos = b.last_pos;
-        sk_first_doc = occ.doc;
-        sk_first_pos = occ.pos;
-        sk_max_node = occ.node;
+        sk_first_doc = doc;
+        sk_first_pos = pos;
+        sk_max_node = node;
         sk_max_tf = 0;
       }
       :: b.rev_skips;
-    b.blk_max_node <- occ.node
+    b.blk_max_node <- node
   end;
   let k = b.pending in
-  if occ.doc <> b.last_doc then begin
-    b.docs_d.(k) <- occ.doc - b.last_doc;
+  if doc <> b.last_doc then begin
+    b.docs_d.(k) <- doc - b.last_doc;
     (* node/pos restart from 0 on a document change *)
-    b.nodes_d.(k) <- zigzag occ.node;
-    b.poss_d.(k) <- occ.pos
+    b.nodes_d.(k) <- zigzag node;
+    b.poss_d.(k) <- pos
   end
   else begin
     b.docs_d.(k) <- 0;
-    b.nodes_d.(k) <- zigzag (occ.node - b.last_node);
-    b.poss_d.(k) <- occ.pos - b.last_pos
+    b.nodes_d.(k) <- zigzag (node - b.last_node);
+    b.poss_d.(k) <- pos - b.last_pos
   end;
   b.pending <- k + 1;
-  if occ.doc <> b.run_doc then begin
+  if doc <> b.run_doc then begin
     close_run b;
-    b.run_doc <- occ.doc;
+    b.run_doc <- doc;
     b.run_count <- 1;
     b.run_first_block <- b.count / block_size
   end
   else b.run_count <- b.run_count + 1;
-  if occ.node > b.blk_max_node then b.blk_max_node <- occ.node;
-  b.last_doc <- occ.doc;
-  b.last_node <- occ.node;
-  b.last_pos <- occ.pos;
+  if node > b.blk_max_node then b.blk_max_node <- node;
+  b.last_doc <- doc;
+  b.last_node <- node;
+  b.last_pos <- pos;
   b.count <- b.count + 1
+
+let add b occ = push b ~doc:occ.doc ~node:occ.node ~pos:occ.pos
 
 type t = {
   data : Codec.buf;  (* holds the packed region (and possibly more) *)
@@ -162,33 +172,41 @@ type t = {
   max_tf : int;  (* max occurrences of the term in one document *)
 }
 
+(* Leaves the builder empty, ready for another list. *)
 let freeze b =
   flush_block b;
   close_run b;
-  b.run_count <- 0;
   (match b.rev_skips with
   | sk :: rest when b.count > 0 ->
     b.rev_skips <- { sk with sk_max_node = b.blk_max_node } :: rest
   | _ -> ());
   let skips = Array.of_list (List.rev b.rev_skips) in
-  let tmp = Array.map (fun sk -> sk.sk_max_tf) skips in
-  List.iter
-    (fun (b0, b1, tf) ->
-      for i = b0 to b1 do
-        if tf > tmp.(i) then tmp.(i) <- tf
-      done)
-    b.rev_runs;
-  let skips = Array.mapi (fun i sk -> { sk with sk_max_tf = tmp.(i) }) skips in
+  let skips = Array.mapi (fun i sk -> { sk with sk_max_tf = b.blk_tf.(i) }) skips in
   let max_tf = Array.fold_left (fun m sk -> max m sk.sk_max_tf) 0 skips in
   let data = Buffer.to_bytes b.buf in
-  {
-    data = Codec.B data;
-    base = 0;
-    len = Bytes.length data;
-    count = b.count;
-    skips;
-    max_tf;
-  }
+  let t =
+    {
+      data = Codec.B data;
+      base = 0;
+      len = Bytes.length data;
+      count = b.count;
+      skips;
+      max_tf;
+    }
+  in
+  Buffer.clear b.buf;
+  b.pending <- 0;
+  b.count <- 0;
+  b.last_doc <- 0;
+  b.last_node <- 0;
+  b.last_pos <- 0;
+  b.rev_skips <- [];
+  b.blk_max_node <- 0;
+  b.run_doc <- -1;
+  b.run_count <- 0;
+  b.run_first_block <- 0;
+  Array.fill b.blk_tf 0 (min (Array.length skips) (Array.length b.blk_tf)) 0;
+  t
 
 let length t = t.count
 let byte_size t = t.len
@@ -391,9 +409,11 @@ let scan t f =
      write-back of the reconstructed block *)
   let nblocks = Array.length t.skips in
   if nblocks > 0 then begin
-    let docs = Array.make block_size 0 in
-    let nodes = Array.make block_size 0 in
-    let poss = Array.make block_size 0 in
+    (* a short list needs arrays no longer than itself *)
+    let size = min block_size t.count in
+    let docs = Array.make size 0 in
+    let nodes = Array.make size 0 in
+    let poss = Array.make size 0 in
     for b = 0 to nblocks - 1 do
       let n = load_deltas t b docs nodes poss in
       let sk = t.skips.(b) in

@@ -37,10 +37,17 @@ val add : builder -> occ -> unit
 (** Occurrences must be appended in [(doc, pos)] order; out-of-order
     appends raise [Invalid_argument]. *)
 
+val push : builder -> doc:int -> node:int -> pos:int -> unit
+(** {!add} of unboxed fields: with {!scan}, a list is re-encoded
+    without allocating per occurrence. *)
+
 type t
 (** A frozen, compressed posting list. *)
 
 val freeze : builder -> t
+(** The list appended so far; the builder is left empty and may build
+    another. *)
+
 val length : t -> int
 (** Number of occurrences (the term's collection frequency). *)
 

@@ -6,6 +6,9 @@ type t = {
   live : Store.Live.t;
   scheduler : Scheduler.t;
   publish : Mutex.t;
+  mutable published : Store.Delta.t option;
+      (* the committed value the served snapshot was built from, under
+         [publish] *)
   every_docs : int option;
   feedback_path : string option;
   (* Background-checkpoint coordination. [ck_running] covers both the
@@ -99,11 +102,13 @@ let load_feedback ~dir =
 (* Publish the store's committed delta value, over the value's own
    base, at generation + 1. The served base snapshot (and its pinned
    pager) is reused; a new one is opened only when the value sits on
-   another base, which a checkpoint install brings. Callers hold
-   [t.publish], so generations follow the order of the values. *)
-let publish t =
-  let current = Scheduler.snapshot t.scheduler in
-  let delta = Store.Live.delta t.live in
+   another base, which a checkpoint install brings. A value that is
+   already served is not published again: writers acknowledged by one
+   group-commit batch find the same value, and a republish would only
+   empty the generation-keyed caches and rebuild the tombstone bitmap.
+   Callers hold [t.publish], so generations follow the order of the
+   values. *)
+let publish_value t current delta =
   let generation = current.Engine.generation + 1 in
   let base = Store.Delta.base delta in
   let over =
@@ -118,9 +123,18 @@ let publish t =
   | Ok snapshot -> begin
     let next = Engine.with_delta snapshot delta in
     match Scheduler.reload t.scheduler next with
-    | Ok () -> Ok next
+    | Ok () ->
+      t.published <- Some delta;
+      Ok next
     | Error e -> Error (Snapshot_error (Scheduler.reload_error_to_string e))
   end
+
+let publish t =
+  let current = Scheduler.snapshot t.scheduler in
+  let delta = Store.Live.delta t.live in
+  match t.published with
+  | Some served when served == delta -> Ok current
+  | Some _ | None -> publish_value t current delta
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint execution *)
@@ -282,6 +296,7 @@ let create ?every_docs ~live ~scheduler () =
       live;
       scheduler;
       publish = Mutex.create ();
+      published = None;
       every_docs;
       feedback_path =
         Some (Filename.concat (Store.Live.dir live) feedback_file);

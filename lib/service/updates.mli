@@ -7,7 +7,10 @@
     base, new {!Engine.delta_view}, generation + 1) via
     {!Scheduler.reload} — reads stay lock-free and the
     generation-keyed caches invalidate exactly as on any other
-    reload. {!checkpoint} merges the delta into a new immutable image
+    reload. A committed value is published once: the other writers
+    its group-commit batch acknowledged find it served and get the
+    served generation, so the generation moves at most once per batch
+    and once per checkpoint install. {!checkpoint} merges the delta into a new immutable image
     and installs {e that} as the new base; the expensive merge runs
     off every lock (a background worker thread for async requests),
     so mutations and queries proceed while it is in flight.

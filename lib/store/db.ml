@@ -272,103 +272,66 @@ let tag_of t ~doc ~start =
 
    The merged document id space is dense: live base documents keep
    their relative order and are renumbered 0.., delta documents follow
-   in arrival order. Both remaps are monotone, so re-adding element
-   records and posting occurrences in scan order preserves the
-   (doc, start) / (doc, pos) orders the builders require, and the
-   result is indistinguishable from loading the surviving documents
-   from scratch. *)
+   in arrival order. The merge works on encoded sections: the catalog
+   takes the base's tags first, in base id order, so base element
+   pages are copied as they are (a page holds one document's records
+   and no doc id) and only the delta's records are re-encoded with
+   translated tag ids; kept documents share their parent-index arrays;
+   the tag index is rebuilt from its flat arrays; each posting list is
+   one unboxed scan of the base list through the remap followed by the
+   delta's. The result is the database a load of the surviving
+   documents builds, up to tag ids: a tag only dead documents carried
+   stays in the catalog with no element. *)
 
 let compact ~base ~delta ~tombstones =
   let n_base = Catalog.document_count base.catalog in
   let remap = Array.make (max n_base 1) (-1) in
-  let n_live = ref 0 in
-  for d = 0 to n_base - 1 do
-    let dead = d < Array.length tombstones && tombstones.(d) in
-    if not dead then begin
-      remap.(d) <- !n_live;
-      incr n_live
-    end
-  done;
-  let n_live = !n_live in
   let catalog = Catalog.create () in
   for d = 0 to n_base - 1 do
-    if remap.(d) >= 0 then
-      ignore (Catalog.add_document catalog (Catalog.document_name base.catalog d))
+    if not (d < Array.length tombstones && tombstones.(d)) then
+      remap.(d) <- Catalog.add_document catalog (Catalog.document_name base.catalog d)
   done;
-  (match delta with
-  | None -> ()
-  | Some dd ->
-    for d = 0 to Catalog.document_count dd.catalog - 1 do
-      ignore (Catalog.add_document catalog (Catalog.document_name dd.catalog d))
-    done);
-  let store_b =
-    Element_store.builder
-      ~page_size:(Pager.page_size (Element_store.pager base.elements))
-      ~pool_pages:default_options.pool_pages ()
+  let n_live = Catalog.document_count catalog in
+  for tag = 0 to Catalog.tag_count base.catalog - 1 do
+    ignore (Catalog.intern_tag catalog (Catalog.tag_name base.catalog tag))
+  done;
+  let delta =
+    Option.map
+      (fun dd ->
+        for d = 0 to Catalog.document_count dd.catalog - 1 do
+          ignore (Catalog.add_document catalog (Catalog.document_name dd.catalog d))
+        done;
+        let tags =
+          Array.init (Catalog.tag_count dd.catalog) (fun tag ->
+              Catalog.intern_tag catalog (Catalog.tag_name dd.catalog tag))
+        in
+        (dd, Array.get tags))
+      delta
   in
-  let parent_b = Parent_index.builder () in
-  let tag_b = Tag_index.builder () in
-  let add_element src_catalog doc_of (r : Element_rec.t) =
-    match doc_of r.doc with
-    | -1 -> ()
-    | doc ->
-      let tag = Catalog.intern_tag catalog (Catalog.tag_name src_catalog r.tag) in
-      Element_store.add store_b { r with doc; tag };
-      Parent_index.add parent_b ~doc ~start:r.start
-        {
-          Parent_index.parent = r.parent;
-          child_count = r.child_count;
-          level = r.level;
-          end_ = r.end_;
-          tag;
-        };
-      Tag_index.add tag_b ~tag
-        { Tag_index.doc; start = r.start; end_ = r.end_; level = r.level }
-  in
-  Element_store.scan base.elements ~with_text:true
-    (add_element base.catalog (fun d -> remap.(d)));
-  (match delta with
-  | None -> ()
-  | Some dd ->
-    Element_store.scan dd.elements ~with_text:true
-      (add_element dd.catalog (fun d -> n_live + d)));
-  let index_b =
-    Ir.Inverted_index.builder ~stem:(Ir.Inverted_index.stemmed base.index) ()
-  in
-  (* terms were normalized at original ingest; re-add them raw *)
-  Ir.Inverted_index.iter_terms base.index (fun term postings ->
-      Ir.Postings.iter
-        (fun (o : Ir.Postings.occ) ->
-          if remap.(o.doc) >= 0 then
-            Ir.Inverted_index.add_normalized_occurrence index_b
-              ~doc:remap.(o.doc) ~node:o.node ~term ~pos:o.pos)
-        postings);
-  (match delta with
-  | None -> ()
-  | Some dd ->
-    Ir.Inverted_index.iter_terms dd.index (fun term postings ->
-        Ir.Postings.iter
-          (fun (o : Ir.Postings.occ) ->
-            Ir.Inverted_index.add_normalized_occurrence index_b
-              ~doc:(n_live + o.doc) ~node:o.node ~term ~pos:o.pos)
-          postings));
+  let with_offset f = Option.map (fun (dd, tag_of) -> (f dd, n_live, tag_of)) delta in
   (* each document keeps its tree iff its source kept it *)
   let numberings = Array.make (Catalog.document_count catalog) None in
   for d = 0 to n_base - 1 do
     if remap.(d) >= 0 then numberings.(remap.(d)) <- numbering base ~doc:d
   done;
   Option.iter
-    (fun dd ->
+    (fun (dd, _) ->
       for d = 0 to Catalog.document_count dd.catalog - 1 do
         numberings.(n_live + d) <- numbering dd ~doc:d
       done)
     delta;
   {
     catalog;
-    elements = Element_store.freeze store_b;
-    parents = Parent_index.freeze parent_b;
-    tags = Tag_index.freeze tag_b;
-    index = Ir.Inverted_index.freeze index_b;
+    elements =
+      Element_store.merge ~base:base.elements ~remap
+        ~delta:(with_offset (fun dd -> dd.elements));
+    parents =
+      Parent_index.merge ~base:base.parents ~remap
+        ~delta:(Option.map (fun (dd, tag_of) -> (dd.parents, tag_of)) delta);
+    tags = Tag_index.merge ~base:base.tags ~remap ~delta:(with_offset (fun dd -> dd.tags));
+    index =
+      Ir.Inverted_index.merge ~base:base.index ~remap
+        ~delta:(Option.map (fun (dd, _) -> (dd.index, n_live)) delta);
     numberings;
     verif = verified ();
     coll_stats = Atomic.make None;
@@ -377,8 +340,9 @@ let compact ~base ~delta ~tombstones =
 (* ------------------------------------------------------------------ *)
 (* Planner statistics: corpus aggregates + per-tag counts + path
    synopsis ({!Ir.Stats}). Saved images carry them in their sixth
-   section; an in-memory build computes them on first use by one
-   element-store scan in preorder and caches the result. *)
+   section; an in-memory build computes them on first use by one pass
+   over the tag index's flat element array, which is in preorder, and
+   caches the result. *)
 
 let compute_collection_stats t =
   let istats = Ir.Inverted_index.stats t.index in
@@ -390,8 +354,8 @@ let compute_collection_stats t =
       ~tag_count:(Catalog.tag_count t.catalog)
       ()
   in
-  Element_store.scan t.elements (fun (r : Element_rec.t) ->
-      Ir.Stats.add_element b ~tag:r.tag ~level:r.level);
+  Tag_index.iter t.tags (fun ~tag item ->
+      Ir.Stats.add_element b ~tag ~level:item.Tag_index.level);
   Ir.Stats.freeze b
 
 let collection_stats t =
@@ -479,8 +443,7 @@ let read_crc32_buf buf off =
   let b i = Ir.Codec.buf_get buf (off + i) in
   ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3, off + 4)
 
-let catalog_section t =
-  let buf = Buffer.create 4096 in
+let catalog_section t buf =
   Ir.Codec.add_varint buf (Catalog.document_count t.catalog);
   for doc = 0 to Catalog.document_count t.catalog - 1 do
     add_string buf (Catalog.document_name t.catalog doc)
@@ -488,46 +451,90 @@ let catalog_section t =
   Ir.Codec.add_varint buf (Catalog.tag_count t.catalog);
   for tag = 0 to Catalog.tag_count t.catalog - 1 do
     add_string buf (Catalog.tag_name t.catalog tag)
-  done;
-  buf
+  done
 
-let section buf_size fill =
+(* a section encoded whole into a buffer, emitted as one piece *)
+let buffered buf_size fill emit =
   let buf = Buffer.create buf_size in
   fill buf;
-  buf
+  emit (Buffer.contents buf)
 
-let save t path =
+(* Sections are encoded one at a time, as pieces, and each is written
+   once, right after its header: the CRC-32 is the only other pass
+   over its bytes, no buffer ever holds the whole image, and element
+   pages go to the file straight from the pager. The image goes to a temporary
+   file next to the target, is fsynced, and only then renamed over it
+   ({!Durable.rename} also fsyncs the directory), so whoever deletes
+   what the image covers — the checkpoint's frozen log — does so after
+   the image is durable. *)
+let save ?fault t path =
   let sections =
     [
-      catalog_section t;
-      section (1 lsl 20) (Element_store.save t.elements);
-      section (1 lsl 20) (Ir.Inverted_index.save t.index);
-      section (1 lsl 16) (Parent_index.save t.parents);
-      section (1 lsl 16) (Tag_index.save t.tags);
-      section (1 lsl 12) (Ir.Stats.save (collection_stats t));
+      buffered 4096 (catalog_section t);
+      Element_store.save t.elements;
+      buffered (1 lsl 20) (Ir.Inverted_index.save t.index);
+      buffered (1 lsl 16) (Parent_index.save t.parents);
+      buffered (1 lsl 16) (Tag_index.save t.tags);
+      buffered (1 lsl 12) (Ir.Stats.save (collection_stats t));
     ]
   in
-  let image = Buffer.create (1 lsl 20) in
-  Buffer.add_string image magic;
-  Ir.Codec.add_varint image (List.length sections);
-  List.iteri
-    (fun i payload ->
-      let s = Buffer.contents payload in
-      Ir.Codec.add_varint image (i + 1);
-      Ir.Codec.add_varint image (String.length s);
-      add_crc32 image (Crc32.string s);
-      Buffer.add_string image s)
-    sections;
-  (* Atomic publication: assemble next to the target, then rename. *)
+  let injected = Option.bind fault Fault.take_image_fault in
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match Buffer.output_buffer oc image with
-  | () -> close_out oc
+  (* pieces are coalesced in the channel's buffer: each write syscall
+     gives up the runtime lock, and taking it back can wait for a busy
+     thread's tick *)
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
+  let close () = close_out_noerr oc in
+  let written = ref 0 in
+  (* a torn write lets only the first [at_byte] bytes through *)
+  let output s =
+    let len = String.length s in
+    let len =
+      match injected with
+      | Some (_, Fault.Torn_write { at_byte }) -> max 0 (min len (at_byte - !written))
+      | Some (_, Fault.Fail_fsync) | None -> len
+    in
+    output_substring oc s 0 len;
+    written := !written + len
+  in
+  match
+    let header = Buffer.create 32 in
+    Buffer.add_string header magic;
+    Ir.Codec.add_varint header (List.length sections);
+    List.iteri
+      (fun i encode ->
+        let pieces = ref [] in
+        encode (fun piece -> pieces := piece :: !pieces);
+        let pieces = List.rev !pieces in
+        Ir.Codec.add_varint header (i + 1);
+        Ir.Codec.add_varint header
+          (List.fold_left (fun n p -> n + String.length p) 0 pieces);
+        add_crc32 header (List.fold_left Crc32.extend 0 pieces);
+        output (Buffer.contents header);
+        Buffer.clear header;
+        List.iter output pieces)
+      sections;
+    flush oc;
+    match injected with
+    | Some (save, Fault.Torn_write _) ->
+      raise (Fault.Write_crash { op = save; wrote = !written })
+    | Some (_, Fault.Fail_fsync) -> raise (Sys_error (tmp ^ ": injected fsync failure"))
+    | None -> (
+      try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error (e, fn, _) ->
+        raise (Sys_error (Printf.sprintf "%s: %s: %s" tmp fn (Unix.error_message e))))
+  with
+  | () ->
+    close ();
+    Durable.rename ~src:tmp ~dst:path
+  | exception (Fault.Write_crash _ as crash) ->
+    (* the simulated process died: its temporary file stays behind *)
+    close ();
+    raise crash
   | exception e ->
-    close_out_noerr oc;
+    close ();
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
+    raise e
 
 let decode_catalog buf ~off ~len =
   let limit = off + len in

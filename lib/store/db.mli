@@ -99,12 +99,21 @@ val compact : base:t -> delta:t option -> tombstones:bool array -> t
 (** Merge a delta segment into a fresh database: live base documents
     (those not marked in [tombstones]) keep their relative order and
     are renumbered densely from 0, delta documents follow in their
-    own id order. Element records and posting occurrences are
-    re-added under the new ids, so the result is equivalent to
-    loading the surviving documents from scratch — this is the
-    checkpoint's merge step. Each surviving document keeps its tree
-    iff its source kept it, so a merge of an opened image and a delta
-    keeps the delta documents' trees only. *)
+    own id order. This is the checkpoint's merge step, and its cost
+    follows the bytes copied plus the delta, not the base's element
+    and occurrence counts: base element pages are copied as they are
+    (the catalog interns the base's tags first, so their ids stay
+    valid) and only the delta's records are re-encoded; kept
+    documents share their parent-index arrays; each term's postings
+    are one scan of the base list through the remap followed by the
+    delta's. The result answers exactly as a load of the surviving
+    documents does — the same catalog, records, occurrences and
+    statistics, compared by name — except that a tag only tombstoned
+    documents carried stays in the catalog with no element. Its
+    element pager is born pinned, so publishing it verifies nothing.
+    Each surviving document keeps its tree iff its source kept it, so
+    a merge of an opened image and a delta keeps the delta documents'
+    trees only. *)
 
 (** {1 Persistence}
 
@@ -130,13 +139,24 @@ val compact : base:t -> delta:t option -> tombstones:bool array -> t
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val save : t -> string -> unit
+val save : ?fault:Fault.t -> t -> string -> unit
 (** [save db path] writes the [TIXDB004] database image — catalog,
     element pages, inverted index, parent index, tag index and
-    planner statistics — to one file. The write is atomic: the image
-    is assembled in a temporary file in the same directory and
-    renamed over [path], so a crash mid-save never leaves a torn
-    image behind. Retained trees are not persisted. *)
+    planner statistics — to one file. Sections are encoded one at a
+    time and each is written once after its header, so its CRC-32 is
+    the only extra pass over its bytes and no buffer holds the whole
+    image. The write is atomic and durable: the image goes to a
+    temporary file in the same directory, is fsynced, and is renamed
+    over [path], whose directory is then fsynced ({!Durable.rename});
+    a crash mid-save never leaves a torn image behind, and once [save]
+    returns the image survives a power loss. Retained trees are not
+    persisted.
+
+    Raises [Sys_error] when the file cannot be written, synced or
+    renamed (the temporary file is removed). [fault] injects image
+    faults armed with {!Fault.arm_image_fault}: an injected fsync
+    failure is such a [Sys_error], and a torn write raises
+    {!Fault.Write_crash} with the temporary file left behind. *)
 
 val open_file : ?verify:[ `Eager | `Lazy ] -> string -> (t, error) result
 (** Load a database image, mapped zero-copy: element pages

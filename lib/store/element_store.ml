@@ -8,38 +8,45 @@ type t = {
 }
 
 type builder = {
-  b_pager : Pager.t;
   buf : Buffer.t;
   mutable buf_records : int;
   mutable buf_first : (int * int) option;  (* (doc, start) of first record *)
+  mutable pages_rev : Bytes.t list;
   mutable metas_rev : page_meta list;
   mutable count : int;
   mutable docs : int;
   mutable last_key : int * int;
   page_size : int;
+  pool_pages : int option;
 }
 
 let builder ?(page_size = Pager.default_page_size) ?pool_pages () =
   {
-    b_pager = Pager.create ?pool_pages ~page_size ();
     buf = Buffer.create page_size;
     buf_records = 0;
     buf_first = None;
+    pages_rev = [];
     metas_rev = [];
     count = 0;
     docs = 0;
     last_key = (-1, -1);
     page_size;
+    pool_pages;
   }
+
+let push_page b meta page =
+  b.pages_rev <- page :: b.pages_rev;
+  b.metas_rev <- meta :: b.metas_rev;
+  b.count <- b.count + meta.records;
+  if meta.first_doc >= b.docs then b.docs <- meta.first_doc + 1
 
 let flush_page b =
   match b.buf_first with
   | None -> ()
   | Some (first_doc, first_start) ->
-    let page = Buffer.to_bytes b.buf in
-    ignore (Pager.append_page b.b_pager page);
-    b.metas_rev <-
-      { first_doc; first_start; records = b.buf_records } :: b.metas_rev;
+    push_page b
+      { first_doc; first_start; records = b.buf_records }
+      (Buffer.to_bytes b.buf);
     Buffer.clear b.buf;
     b.buf_records <- 0;
     b.buf_first <- None
@@ -63,18 +70,21 @@ let add b (rec_ : Element_rec.t) =
   then flush_page b;
   if b.buf_first = None then b.buf_first <- Some (rec_.doc, rec_.start);
   Buffer.add_buffer b.buf scratch;
-  b.buf_records <- b.buf_records + 1;
-  b.count <- b.count + 1;
-  if rec_.doc >= b.docs then b.docs <- rec_.doc + 1
+  b.buf_records <- b.buf_records + 1
 
-let freeze b =
-  flush_page b;
+let finish b pager =
   {
-    pager = b.b_pager;
+    pager;
     metas = Array.of_list (List.rev b.metas_rev);
     elements = b.count;
     documents = b.docs;
   }
+
+let freeze b =
+  flush_page b;
+  let pager = Pager.create ?pool_pages:b.pool_pages ~page_size:b.page_size () in
+  List.iter (fun page -> ignore (Pager.append_page pager page)) (List.rev b.pages_rev);
+  finish b pager
 
 let element_count t = t.elements
 let document_count t = t.documents
@@ -170,7 +180,37 @@ let subtree_texts t ~doc ~start ~end_ =
       then acc := rec_.Element_rec.text :: !acc);
   List.rev !acc
 
-let save t buf =
+(* Base pages are taken as they are: a page holds one document's
+   records and no doc id, so only its meta is re-stamped with the new
+   id. Delta records are re-encoded, with the catalog's tag ids, after
+   the last base page; the merged pager is born pinned. *)
+let merge ~base ~remap ~delta =
+  let b = builder ~page_size:(Pager.page_size base.pager) () in
+  Array.iteri
+    (fun id meta ->
+      let doc = remap.(meta.first_doc) in
+      if doc >= 0 then
+        push_page b { meta with first_doc = doc } (Pager.stable_page base.pager id))
+    base.metas;
+  b.last_key <- (b.docs, -1);
+  Option.iter
+    (fun (d, doc_offset, tag_of) ->
+      scan d ~with_text:true (fun (r : Element_rec.t) ->
+          add b { r with doc = doc_offset + r.doc; tag = tag_of r.tag }))
+    delta;
+  flush_page b;
+  finish b
+    (Pager.of_pages ~page_size:b.page_size
+       (Array.of_list (List.rev b.pages_rev)))
+
+(* The section is emitted in pieces so that no buffer holds the pages
+   again: a small header, then per page its meta and the page itself. *)
+let save t emit =
+  let buf = Buffer.create 32 in
+  let flush () =
+    emit (Buffer.contents buf);
+    Buffer.clear buf
+  in
   Ir.Codec.add_varint buf (Pager.page_size t.pager);
   Ir.Codec.add_varint buf t.elements;
   Ir.Codec.add_varint buf t.documents;
@@ -180,10 +220,13 @@ let save t buf =
       Ir.Codec.add_varint buf meta.first_doc;
       Ir.Codec.add_varint buf meta.first_start;
       Ir.Codec.add_varint buf meta.records;
-      let page = Pager.read_page t.pager page_id in
+      let page = Pager.stable_page t.pager page_id in
       Ir.Codec.add_varint buf (Bytes.length page);
-      Buffer.add_bytes buf page)
-    t.metas
+      flush ();
+      (* stable pages never change, so the string view is safe *)
+      emit (Bytes.unsafe_to_string page))
+    t.metas;
+  if Buffer.length buf > 0 then flush ()
 
 (* Zero-copy load: the page table is decoded (it is tiny), but page
    payloads stay where they are — (offset, length) slices of the

@@ -21,6 +21,20 @@ val add : builder -> Element_rec.t -> unit
 
 val freeze : builder -> t
 
+val merge :
+  base:t -> remap:int array -> delta:(t * int * (int -> int)) option -> t
+(** [merge ~base ~remap ~delta] is the store holding [base]'s
+    documents [d] with [remap.(d) >= 0] under id [remap.(d)] (the
+    remap must be increasing over them), then — for
+    [delta = Some (d, offset, tag_of)] — every record of [d] under doc
+    [offset + doc] and tag [tag_of tag], with [offset] above every
+    remapped id. Base pages are copied as they are (a page holds one
+    document's records and no doc id), so the merged catalog must give
+    the base's tags their base ids; [tag_of] maps the delta's tag ids
+    into it, and only delta records are re-encoded, into pages of the
+    base's page size. The result's pager is born pinned
+    ({!Pager.of_pages}). *)
+
 (** {1 Access} *)
 
 val element_count : t -> int
@@ -45,8 +59,10 @@ val scan_doc : t -> doc:int -> ?with_text:bool -> (Element_rec.t -> unit) -> uni
 
 (** {1 Serialization} *)
 
-val save : t -> Buffer.t -> unit
-(** Append the page image (page directory and raw pages). *)
+val save : t -> (string -> unit) -> unit
+(** Emit the page image (page directory and raw pages), in order, as
+    pieces whose concatenation is the section: each stable page is
+    emitted as it is, without a copy. *)
 
 val load_mapped : Ir.Codec.buf -> int -> t * int
 (** [load_mapped buf off] is [(store, next_off)]; inverse of {!save}.

@@ -10,6 +10,8 @@ type t = {
   mutable injected_transient : int;
   mutable injected_corrupt : int;
   write_faults : (int, write_fault) Hashtbl.t;
+  image_faults : (int, write_fault) Hashtbl.t;
+  mutable image_saves : int;
   mutable injected_torn : int;
   mutable injected_fsync : int;
 }
@@ -38,6 +40,8 @@ let create ?(seed = 0) ?(transient_rate = 0.) ?(corrupt_rate = 0.)
     injected_transient = 0;
     injected_corrupt = 0;
     write_faults = Hashtbl.create 4;
+    image_faults = Hashtbl.create 1;
+    image_saves = 0;
     injected_torn = 0;
     injected_fsync = 0;
   }
@@ -53,23 +57,36 @@ let stats t =
     failed_fsyncs = t.injected_fsync;
   }
 
-let arm_write_fault t ~op fault =
-  if op < 0 then invalid_arg "Fault.arm_write_fault: negative op index";
+let arm table ~what ~index fault =
+  if index < 0 then invalid_arg ("Fault." ^ what ^ ": negative index");
   (match fault with
   | Torn_write { at_byte } when at_byte < 0 ->
-    invalid_arg "Fault.arm_write_fault: negative torn-write offset"
+    invalid_arg ("Fault." ^ what ^ ": negative torn-write offset")
   | Torn_write _ | Fail_fsync -> ());
-  Hashtbl.replace t.write_faults op fault
+  Hashtbl.replace table index fault
 
-let take_write_fault t ~op =
-  match Hashtbl.find_opt t.write_faults op with
+let take t table index =
+  match Hashtbl.find_opt table index with
   | None -> None
   | Some f ->
-    Hashtbl.remove t.write_faults op;
+    Hashtbl.remove table index;
     (match f with
     | Torn_write _ -> t.injected_torn <- t.injected_torn + 1
     | Fail_fsync -> t.injected_fsync <- t.injected_fsync + 1);
     Some f
+
+let arm_write_fault t ~op fault =
+  arm t.write_faults ~what:"arm_write_fault" ~index:op fault
+
+let take_write_fault t ~op = take t t.write_faults op
+
+let arm_image_fault t ~save fault =
+  arm t.image_faults ~what:"arm_image_fault" ~index:save fault
+
+let take_image_fault t =
+  let save = t.image_saves in
+  t.image_saves <- save + 1;
+  Option.map (fun f -> (save, f)) (take t t.image_faults save)
 
 (* splitmix64 finalizer: a few rounds of multiply-xorshift give a
    well-distributed 64-bit hash of the mixed-in key parts. *)

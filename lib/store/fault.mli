@@ -17,10 +17,11 @@
     Everything is a pure function of the seed: a failing run replays
     exactly.
 
-    The injector also covers the {e write} path ({!Wal} appends):
-    {!arm_write_fault} schedules a torn write or a failed fsync for a
-    specific upcoming append, so crash-point sweeps can place a
-    process death at every byte of a log frame deterministically. *)
+    The injector also covers the {e write} path: {!arm_write_fault}
+    schedules a torn write or a failed fsync for a specific upcoming
+    {!Wal} append, so crash-point sweeps can place a process death at
+    every byte of a log frame deterministically, and
+    {!arm_image_fault} does the same for a checkpoint image save. *)
 
 type t
 
@@ -85,6 +86,18 @@ val arm_write_fault : t -> op:int -> write_fault -> unit
 val take_write_fault : t -> op:int -> write_fault option
 (** Consume the fault armed for append [op] (it fires at most once);
     consuming counts it in {!stats}. *)
+
+val arm_image_fault : t -> save:int -> write_fault -> unit
+(** Schedule [fault] for the [save]-th (0-based) subsequent image save
+    ({!Db.save} [~fault]) through this injector: a {!Torn_write} lets
+    the first [at_byte] bytes of the image reach its temporary file
+    and raises {!Write_crash} with [op = save]; a {!Fail_fsync} makes
+    the image's fsync fail, and the save raises before it renames
+    anything. Either way the target image is untouched. *)
+
+val take_image_fault : t -> (int * write_fault) option
+(** Count one image save and consume the fault armed for it, returned
+    with the save's index; consuming counts it in {!stats}. *)
 
 type injection_stats = {
   transient : int;

@@ -302,7 +302,8 @@ let update t ~name ~xml = mutate t (Wal.Update { name; xml })
 
    [checkpoint_prepare] (off every lock) merges the frozen value's
    base, index and tombstones via [Db.compact] and saves the image
-   atomically. [checkpoint_install] (briefly under the mutex) commits
+   atomically and durably: fsynced before its rename, its directory
+   after. [checkpoint_install] (briefly under the mutex) commits
    a value over the merged image, rebuilt by replaying the suffix,
    re-derives the queue from it, and deletes the frozen log — the live
    [wal.log] already holds exactly the still-pending records.
@@ -330,14 +331,14 @@ let wait_batch t =
 let rotate_wal t =
   let dir = t.t_dir in
   let wpath = wal_path ~dir and fpath = frozen_wal_path ~dir in
-  match Sys.rename wpath fpath with
+  match Durable.rename ~src:wpath ~dst:fpath with
   | exception Sys_error detail ->
     Error (Wal_error (Wal.Io_error { path = wpath; detail }))
   | () -> begin
     match Wal.open_ ?fault:(Wal.fault t.wal) wpath with
     | Error e ->
       (* undo the rotation so the store stays single-log *)
-      (try Sys.rename fpath wpath with Sys_error _ -> ());
+      (try Durable.rename ~src:fpath ~dst:wpath with Sys_error _ -> ());
       Error (Wal_error e)
     | Ok (fresh, _) ->
       Wal.set_append_index fresh (Wal.append_index t.wal);
@@ -378,7 +379,8 @@ let checkpoint_prepare ?path t (frozen : checkpoint_token) =
     Db.compact ~base:(Delta.base frozen) ~delta:(Delta.db frozen)
       ~tombstones:(Delta.tombstones frozen)
   in
-  match Db.save merged path with
+  let fault = locked t (fun () -> Wal.fault t.wal) in
+  match Db.save ?fault merged path with
   | exception Sys_error detail ->
     Error (Image_error (Db.Io_error { path; detail }))
   | () -> Ok (merged, path)

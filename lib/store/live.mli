@@ -122,9 +122,15 @@ val checkpoint_begin : t -> (checkpoint_token, error) result
 val checkpoint_prepare :
   ?path:string -> t -> checkpoint_token -> (Db.t * string, error) result
 (** Merge the frozen value's base, index and tombstones into a fresh
-    immutable database ({!Db.compact}) and save it atomically to [path]
-    (default [checkpoint.tix] in the store's directory). Takes no
-    lock — mutations proceed concurrently. *)
+    immutable database ({!Db.compact}) and save it atomically and
+    durably to [path] (default [checkpoint.tix] in the store's
+    directory): the image is fsynced before its rename and the
+    directory after it, so {!checkpoint_install} deletes the frozen
+    log only once the image is on disk. A failed write, sync or
+    rename is an [Image_error]; the log's fault injector also reaches
+    the save ({!Fault.arm_image_fault}). Takes no lock — mutations
+    proceed concurrently. The merged database's pager is born pinned,
+    so publishing it verifies nothing. *)
 
 val checkpoint_install : t -> Db.t -> string -> unit
 (** Commit a value over the merged database, built by replaying the

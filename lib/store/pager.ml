@@ -112,11 +112,27 @@ let of_mapped ~page_size ~buf slices =
     mapped = Some { m_buf = buf; m_slices = slices; m_pages = Array.init n (fun _ -> Atomic.make Bytes.empty) };
   }
 
+(* Born pinned over pages already in memory — a merge that copies or
+   shares another pager's stable pages ({!stable_page}). The pages
+   carry no per-page checksums: a pinned pager never transfers, and
+   the image's section CRC covers the bytes once they are saved. *)
+let of_pages ~page_size pages =
+  let n = Array.length pages in
+  {
+    (create ~pool_pages:0 ~page_size ()) with
+    stable = pages;
+    checksums = [||];
+    stable_count = n;
+    frames = Hashtbl.create 1;
+    pinned = true;
+  }
+
 let page_size t = t.size
 
 let append_page t page =
   if t.mapped <> None then
     invalid_arg "Pager.append_page: image-backed pager is immutable";
+  if t.pinned then invalid_arg "Pager.append_page: pinned pager is immutable";
   let capacity = Array.length t.stable in
   if t.stable_count >= capacity then begin
     let fresh = Array.make (capacity * 2) Bytes.empty in
@@ -204,7 +220,9 @@ let transfer t id =
    concurrently. Pinned reads model a fully memory-resident image —
    they count as reads but never as misses or transfers. *)
 let pin t =
-  if t.mapped <> None then Ok ()  (* CRC-verified over the map at open *)
+  (* a pinned pager was verified when it pinned, or was born pinned
+     over a CRC-verified map or pages whose image CRC covers them *)
+  if t.pinned then Ok ()
   else
   let rec verify id =
     if id >= t.stable_count then Ok ()
@@ -286,6 +304,23 @@ let read_page_result t id =
             Hashtbl.replace t.frames id { page_id = id; data; tick = t.clock };
             Ok data
         end)
+
+let stable_page t id =
+  if id < 0 || id >= t.stable_count then
+    invalid_arg
+      (Printf.sprintf "Pager.stable_page: page %d out of bounds (page count %d)"
+         id t.stable_count);
+  match t.mapped with
+  | None -> t.stable.(id)
+  | Some m ->
+    let page = Atomic.get m.m_pages.(id) in
+    if Bytes.length page > 0 then page
+    else begin
+      let off, len = m.m_slices.(id) in
+      let data = Bytes.create len in
+      Ir.Codec.buf_blit m.m_buf ~src_off:off data ~dst_off:0 ~len;
+      data
+    end
 
 let read_page t id =
   match read_page_result t id with

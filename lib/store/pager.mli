@@ -61,6 +61,14 @@ val of_mapped : page_size:int -> buf:Ir.Codec.buf -> (int * int) array -> t
     are counted as misses/bytes transferred in {!stats}; subsequent
     reads count as pinned reads. *)
 
+val of_pages : page_size:int -> Bytes.t array -> t
+(** A read-only pager over pages already in memory, born pinned like
+    {!of_mapped}: {!pin} is O(1), reads never touch a pool or a fault
+    injector, and no per-page checksum is computed — the pages come
+    from another pager's stable storage ({!stable_page}) or were just
+    encoded, and the section CRC of the image they are saved into
+    covers them. {!append_page} raises [Invalid_argument]. *)
+
 val page_size : t -> int
 val append_page : t -> Bytes.t -> int
 (** Add a page to stable storage (build time); returns its id.
@@ -74,6 +82,14 @@ val read_page : t -> int -> Bytes.t
     out-of-bounds page id (the message names the page id and the
     page count) and {!Read_error} when the physical read fails
     permanently. *)
+
+val stable_page : t -> int -> Bytes.t
+(** The stable bytes of a page, bypassing the pool, the fault injector
+    and the statistics: an in-memory page is returned itself (pages
+    never change once appended, so the result may be shared but not
+    mutated), a mapped page is its materialized copy or a fresh copy
+    of its slice. What a merge copies and what an image save
+    writes. Raises [Invalid_argument] on an out-of-bounds id. *)
 
 val read_page_result : t -> int -> (Bytes.t, read_error) result
 (** Like {!read_page} but returns failed reads as values.
@@ -100,12 +116,13 @@ val clear_pool : t -> unit
     the lock can be bypassed entirely with {!pin}. *)
 
 val pin : t -> (unit, read_error) result
-(** Verify every stable page's checksum once, then serve all
+(** Does nothing on a pager that is already pinned. Otherwise verify
+    every stable page's checksum once, then serve all
     subsequent reads lock-free straight from stable storage (no pool,
     no misses, no transfers — the image is memory-resident). The
     first damaged page is reported as [Error] and the pager stays
-    unpinned. A pinned pager must not receive further
-    {!append_page}s, and the bytes {!read_page} returns are the
+    unpinned. A pinned pager refuses further {!append_page}s
+    ([Invalid_argument]), and the bytes {!read_page} returns are the
     stable pages themselves — the read-only contract is load-bearing. *)
 
 val pinned : t -> bool

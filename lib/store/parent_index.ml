@@ -81,6 +81,25 @@ let freeze b =
   { docs = Array.init b.ndocs (fun d -> freeze_doc b.per_doc.(d));
     total = b.total }
 
+(* Entries are document-relative (start keys, parent start keys), so a
+   kept base document's arrays are shared as they are; only a delta
+   document's tag ids are translated. *)
+let merge ~base ~remap ~delta =
+  let kept = ref [] in
+  Array.iteri (fun d pd -> if remap.(d) >= 0 then kept := pd :: !kept) base.docs;
+  let added =
+    match delta with
+    | None -> []
+    | Some (d, tag_of) ->
+      Array.to_list
+        (Array.map (fun pd -> { pd with tags = Array.map tag_of pd.tags }) d.docs)
+  in
+  let docs = Array.of_list (List.rev_append !kept added) in
+  {
+    docs;
+    total = Array.fold_left (fun n pd -> n + Array.length pd.starts) 0 docs;
+  }
+
 let find t ~doc ~start =
   if doc < 0 || doc >= Array.length t.docs then None
   else begin

@@ -22,6 +22,12 @@ val add : builder -> doc:int -> start:int -> entry -> unit
 
 val freeze : builder -> t
 
+val merge : base:t -> remap:int array -> delta:(t * (int -> int)) option -> t
+(** The index of base document [d] under id [remap.(d)] when that is
+    [>= 0] (kept ids must be [0, 1, ...] in base order), followed by
+    every delta document with its tags mapped by the given function.
+    Kept documents share their arrays with [base]. *)
+
 val find : t -> doc:int -> start:int -> entry option
 (** Binary search over the per-document start array. *)
 

@@ -20,6 +20,18 @@ val add : builder -> tag:int -> item -> unit
 
 val freeze : builder -> t
 
+val merge :
+  base:t -> remap:int array -> delta:(t * int * (int -> int)) option -> t
+(** Base elements of document [d] under id [remap.(d)] when that is
+    [>= 0] (increasing over the kept documents), then — for
+    [delta = Some (d, offset, tag_of)] — every element of [d] under
+    doc [offset + doc] and tag [tag_of tag], [offset] above every
+    kept id. Built from the flat arrays by one counting pass. *)
+
+val iter : t -> (tag:int -> item -> unit) -> unit
+(** Every element with its tag, in document order (the element
+    store's scan order). *)
+
 val nodes : t -> tag:int -> item array
 (** All elements with the tag, in document order; [||] for unknown
     tags. The returned array must not be mutated. *)

@@ -199,11 +199,14 @@ let open_ ?fault path =
     | Ok bytes ->
       let total = Bytes.length bytes in
       if total = 0 then begin
-        (* a fresh log: write the header and commit it *)
+        (* a fresh log: write the header and commit it, and its name
+           with the directory, so records acknowledged into it survive
+           a power loss *)
         match
           io_error path (fun () ->
               write_all fd (Bytes.of_string magic) 0 (String.length magic);
-              Unix.fsync fd)
+              Unix.fsync fd;
+              Durable.fsync_dir (Filename.dirname path))
         with
         | Error e -> fail e
         | Ok () ->
@@ -369,8 +372,9 @@ let append_many t records =
 let append t record = append_many t [ record ]
 
 (* Atomically replace [path] with a log holding exactly [records]:
-   build the image beside it, fsync, then rename over the target.
-   Used to merge a rotated checkpoint log back under the live one. *)
+   build the image beside it, fsync, then rename over the target and
+   fsync the directory. Used to merge a rotated checkpoint log back
+   under the live one. *)
 let save_records path records =
   let tmp = path ^ ".tmp" in
   match
@@ -392,7 +396,7 @@ let save_records path records =
             Unix.fsync fd))
   with
   | Error e -> Error e
-  | Ok () -> io_error path (fun () -> Sys.rename tmp path)
+  | Ok () -> io_error path (fun () -> Durable.rename ~src:tmp ~dst:path)
 
 let path t = t.t_path
 let record_count (t : t) = t.records

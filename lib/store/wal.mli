@@ -86,7 +86,7 @@ val append_many : t -> record list -> (unit, error) result
 val save_records : string -> record list -> (unit, error) result
 (** Atomically replace [path] with a freshly built log holding
     exactly [records]: the image is written and fsynced beside the
-    target, then renamed over it. Used to merge a rotated checkpoint
+    target, then renamed over it ({!Durable.rename}). Used to merge a rotated checkpoint
     log back under the live one during recovery or abort. *)
 
 val path : t -> string

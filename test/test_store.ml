@@ -653,6 +653,206 @@ let test_db_lazy_verify_corruption () =
             (Store.Db.error_to_string e)
         | `Verified | `Pending -> Alcotest.fail "verdict not Failed")
 
+(* ------------------------------------------------------------------ *)
+(* Oracles: the merge against a load of the surviving documents, the
+   checksum against the byte-at-a-time table *)
+
+(* A database decoded by name: the catalog, each document's records
+   (tag names, text), the parent and tag indexes, each term's
+   occurrences and doc freq, and the collection statistics. Tag ids
+   differ between a merge and a load, and a merge may keep a tag that
+   no live element carries, so tags appear by name and only with
+   elements. *)
+type synopsis = Syn of string * int * int * synopsis list
+
+let decoded db =
+  let catalog = Store.Db.catalog db in
+  let tag_name = Store.Catalog.tag_name catalog in
+  let docs = List.init (Store.Catalog.document_count catalog) Fun.id in
+  let records =
+    List.map
+      (fun doc ->
+        let acc = ref [] in
+        Store.Element_store.scan_doc (Store.Db.elements db) ~doc ~with_text:true
+          (fun (r : Store.Element_rec.t) ->
+            let p = Store.Parent_index.find (Store.Db.parents db) ~doc ~start:r.start in
+            acc :=
+              ( (r.start, r.end_, r.level, r.parent),
+                (r.child_count, tag_name r.tag, r.word_count, r.text),
+                Option.map
+                  (fun (e : Store.Parent_index.entry) ->
+                    (e.parent, e.child_count, e.level, e.end_, tag_name e.tag))
+                  p )
+              :: !acc);
+        (Store.Catalog.document_name catalog doc, List.rev !acc))
+      docs
+  in
+  let tags =
+    List.init (Store.Catalog.tag_count catalog) (fun tag ->
+        ( tag_name tag,
+          Array.to_list
+            (Array.map
+               (fun (i : Store.Tag_index.item) -> (i.doc, i.start, i.end_, i.level))
+               (Store.Tag_index.nodes (Store.Db.tags db) ~tag)) ))
+    |> List.filter (fun (_, items) -> items <> [])
+    |> List.sort compare
+  in
+  let index = Store.Db.index db in
+  let dict = Ir.Inverted_index.dictionary index in
+  let terms =
+    List.init (Ir.Inverted_index.stats index).distinct_terms (fun id ->
+        let term = Ir.Dictionary.term dict id in
+        let occs =
+          match Ir.Inverted_index.lookup index term with
+          | Some p -> Ir.Postings.to_list p
+          | None -> []
+        in
+        (term, Ir.Inverted_index.doc_freq index term, occs))
+    |> List.sort compare
+  in
+  let st = Store.Db.collection_stats db in
+  let rec synopsis (n : Ir.Stats.syn_node) =
+    Syn (tag_name n.syn_tag, n.syn_count, n.syn_size, List.map synopsis n.syn_children)
+  in
+  let stats =
+    ( (st.documents, st.elements, st.occurrences, st.distinct_terms, st.depth_sum),
+      List.sort compare
+        (List.filter_map
+           (fun tag ->
+             match Ir.Stats.tag_count st ~tag with
+             | 0 -> None
+             | n -> Some (tag_name tag, n))
+           (List.init (Array.length st.tag_counts) Fun.id)),
+      (List.map synopsis st.synopsis, st.synopsis_nodes, st.synopsis_complete) )
+  in
+  (records, tags, terms, stats, Store.Db.stats db)
+
+let gen_document ~tags ~words =
+  QCheck.Gen.(
+    let text = map (String.concat " ") (list_size (1 -- 3) (oneofl words)) in
+    fix
+      (fun self depth ->
+        oneofl tags >>= fun tag ->
+        list_size (0 -- 3)
+          (if depth = 0 then map Xmlkit.Tree.text text
+           else
+             frequency
+               [
+                 (1, map Xmlkit.Tree.text text);
+                 (2, map (fun e -> Xmlkit.Tree.Element e) (self (depth - 1)));
+               ])
+        >|= Xmlkit.Tree.elem tag)
+      3)
+
+(* base and delta documents, a tombstone set and the load options;
+   delta documents may carry tags and terms the base lacks *)
+let gen_merge_case =
+  QCheck.Gen.(
+    let base_tags = [ "a"; "b"; "c"; "d" ] and delta_tags = [ "a"; "c"; "e"; "f" ] in
+    let base_words = List.init 8 (Printf.sprintf "w%d") in
+    let delta_words = List.init 8 (fun i -> Printf.sprintf "w%d" (i + 4)) in
+    let named prefix docs = List.mapi (fun i d -> (Printf.sprintf "%s%d.xml" prefix i, d)) docs in
+    list_size (1 -- 6) (gen_document ~tags:base_tags ~words:base_words) >>= fun base ->
+    let n = List.length base in
+    oneof
+      [
+        return (Array.make n false);
+        return (Array.init n (fun d -> d = 0));
+        return (Array.init n (fun d -> d = n - 1));
+        return (Array.make n true);
+        map Array.of_list (list_repeat n bool);
+      ]
+    >>= fun dead ->
+    opt (list_size (1 -- 3) (gen_document ~tags:delta_tags ~words:delta_words))
+    >>= fun delta ->
+    pair bool (oneofl [ 48; 256; Store.Pager.default_page_size ]) >|= fun (stem, page_size) ->
+    ( { Store.Db.default_options with stem; page_size },
+      named "base" base,
+      dead,
+      Option.map (named "delta") delta ))
+
+let print_merge_case (options, base, dead, delta) =
+  let docs l =
+    String.concat "\n"
+      (List.map (fun (n, d) -> n ^ ": " ^ Xmlkit.Printer.to_string d) l)
+  in
+  Printf.sprintf "stem=%b page_size=%d\nbase:\n%s\ndead: %s\ndelta:\n%s"
+    options.Store.Db.stem options.Store.Db.page_size (docs base)
+    (String.concat "," (Array.to_list (Array.map string_of_bool dead)))
+    (match delta with None -> "none" | Some l -> docs l)
+
+let test_compact_equals_load =
+  QCheck.Test.make ~name:"compact = load of the surviving documents" ~count:150
+    (QCheck.make ~print:print_merge_case gen_merge_case)
+    (fun (options, base_docs, dead, delta_docs) ->
+      let base = Store.Db.of_documents ~options base_docs in
+      let delta = Option.map (Store.Db.of_documents ~options) delta_docs in
+      let merged = Store.Db.compact ~base ~delta ~tombstones:dead in
+      let survivors =
+        List.filteri (fun d _ -> not dead.(d)) base_docs
+        @ Option.value ~default:[] delta_docs
+      in
+      let expected = decoded (Store.Db.of_documents ~options survivors) in
+      let path = Filename.temp_file "tix_merge" ".tix" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Store.Db.save merged path;
+          decoded merged = expected
+          && decoded (Store.Db.open_file_exn path) = expected))
+
+let test_empty_index_reopens () =
+  (* an image whose index holds no term reopens with an empty
+     dictionary, not one holding the empty string *)
+  let db = Store.Db.of_documents [ ("empty.xml", Xmlkit.Tree.elem "a" []) ] in
+  let path = Filename.temp_file "tix" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Store.Db.save db path;
+      let index = Store.Db.index (Store.Db.open_file_exn path) in
+      check int_ "no terms" 0 (Ir.Dictionary.size (Ir.Inverted_index.dictionary index));
+      check bool_ "nothing to rank" true (Ir.Inverted_index.terms_by_freq index = []))
+
+(* CRC-32 one byte at a time, straight from the IEEE polynomial *)
+let reference_crc32 s off len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  check int_ "CRC-32 of 123456789" 0xCBF43926 (Store.Crc32.string "123456789");
+  check int_ "empty" 0 (Store.Crc32.string "")
+
+let test_crc32_matches_reference =
+  QCheck.Test.make ~name:"slicing-by-8 = byte-at-a-time" ~count:300
+    QCheck.(
+      pair (string_of_size (QCheck.Gen.int_range 0 300)) (pair small_nat small_nat))
+    (fun (s, (a, b)) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      let map = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+      String.iteri (fun i c -> map.{i} <- c) s;
+      let expected = reference_crc32 s off len in
+      Store.Crc32.string ~off ~len s = expected
+      && Store.Crc32.bytes ~off ~len (Bytes.of_string s) = expected
+      && Store.Crc32.buf ~off ~len (Ir.Codec.M map) = expected
+      && Store.Crc32.buf ~off ~len (Ir.Codec.B (Bytes.of_string s)) = expected
+      && Store.Crc32.string s = reference_crc32 s 0 n
+      && Store.Crc32.extend (Store.Crc32.string ~len:off s) (String.sub s off (n - off))
+         = reference_crc32 s 0 n)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "store"
@@ -711,5 +911,12 @@ let () =
           tc "lazy verify" `Quick test_db_lazy_verify;
           tc "lazy verify catches corruption" `Quick
             test_db_lazy_verify_corruption;
+          tc "empty index reopens" `Quick test_empty_index_reopens;
+        ] );
+      ( "oracles",
+        [
+          QCheck_alcotest.to_alcotest test_compact_equals_load;
+          tc "crc32 check value" `Quick test_crc32_check_value;
+          QCheck_alcotest.to_alcotest test_crc32_matches_reference;
         ] );
     ]

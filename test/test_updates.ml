@@ -1519,6 +1519,55 @@ let test_live_checkpoint_abort () =
         (sim_after script);
       Store.Live.close reopened.Store.Live.live)
 
+(* The image is fsynced before the frozen log goes. An injected fsync
+   failure of the image fails prepare with a typed [Image_error] and
+   the checkpoint aborts back to one log; a torn image write (the
+   process dies mid-save) leaves both logs behind. Either way a reopen
+   serves every acknowledged mutation. *)
+let test_live_image_fault () =
+  with_dir (fun dir ->
+      let fault = Store.Fault.create () in
+      Store.Fault.arm_image_fault fault ~save:0 Store.Fault.Fail_fsync;
+      let live = (open_live ~fault dir).Store.Live.live in
+      List.iter (apply_live_exn live) prefix_ops;
+      (match Store.Live.checkpoint live with
+      | Error (Store.Live.Image_error (Store.Db.Io_error _)) -> ()
+      | Error e ->
+        Alcotest.failf "wanted an image I/O error, got %s"
+          (Store.Live.error_to_string e)
+      | Ok _ -> Alcotest.fail "checkpoint succeeded over a failed image fsync");
+      let st = Store.Live.stats live in
+      check bool_ "no checkpoint left in flight" false
+        st.Store.Live.checkpoint_in_progress;
+      check int_ "abort restores one log" (List.length prefix_ops)
+        st.Store.Live.wal_records;
+      check bool_ "frozen log removed" false
+        (Sys.file_exists (Store.Live.frozen_wal_path ~dir));
+      let image = Store.Live.checkpoint_path ~dir in
+      check bool_ "no image installed" false (Sys.file_exists image);
+      check bool_ "temporary image removed" false (Sys.file_exists (image ^ ".tmp"));
+      check int_ "the fsync failure was injected" 1
+        (Store.Fault.stats fault).Store.Fault.failed_fsyncs;
+      List.iter (apply_live_exn live) suffix_ops;
+      Store.Live.close live;
+      let live = (open_live ~fault dir).Store.Live.live in
+      assert_equals_rebuild ~what:"reopened after a failed image fsync"
+        (live_snapshot live) (sim_after script);
+      Store.Fault.arm_image_fault fault ~save:1
+        (Store.Fault.Torn_write { at_byte = 100 });
+      (match Store.Live.checkpoint live with
+      | exception Store.Fault.Write_crash _ -> ()
+      | Ok _ | Error _ -> Alcotest.fail "a torn image write did not crash");
+      Store.Live.close live;
+      check bool_ "torn image not installed" false (Sys.file_exists image);
+      let reopened = open_live ~fault dir in
+      check bool_ "recovery merges the rotated log" true
+        (reopened.Store.Live.recovery.Store.Wal.records = script);
+      assert_equals_rebuild ~what:"reopened after a torn image write"
+        (live_snapshot reopened.Store.Live.live)
+        (sim_after script);
+      Store.Live.close reopened.Store.Live.live)
+
 let test_live_checkpoint_crash_before_install () =
   (* die with the rotated log still on disk (before OR after the
      image was prepared): recovery must merge frozen + suffix and
@@ -1713,6 +1762,23 @@ let test_updates_coordinator () =
    delta could be stored after a concurrent commit changed the delta,
    and later publishes then served that stale index without the
    writer's own document. *)
+(* an untombstoned base name or a name in the delta catalog *)
+let served (snap : Service.Engine.snapshot) name =
+  let in_base =
+    match Store.Catalog.document_id (Store.Db.catalog snap.Service.Engine.db) name with
+    | None -> false
+    | Some d -> (
+      match snap.Service.Engine.delta with
+      | None -> true
+      | Some dv -> not dv.Service.Engine.tombstones.(d))
+  in
+  in_base
+  ||
+  match snap.Service.Engine.delta with
+  | Some { Service.Engine.delta_db = Some (ddb, _); _ } ->
+    Store.Catalog.document_id (Store.Db.catalog ddb) name <> None
+  | _ -> false
+
 let test_read_your_writes () =
   let articles = 150 and writers = 8 and per = 60 in
   let cfg =
@@ -1751,25 +1817,6 @@ let test_read_your_writes () =
           Service.Scheduler.shutdown scheduler;
           Store.Live.close live)
         (fun () ->
-          (* an untombstoned base name or a name in the delta catalog *)
-          let served (snap : Service.Engine.snapshot) name =
-            let in_base =
-              match
-                Store.Catalog.document_id (Store.Db.catalog snap.Service.Engine.db) name
-              with
-              | None -> false
-              | Some d -> (
-                match snap.Service.Engine.delta with
-                | None -> true
-                | Some dv -> not dv.Service.Engine.tombstones.(d))
-            in
-            in_base
-            ||
-            match snap.Service.Engine.delta with
-            | Some { Service.Engine.delta_db = Some (ddb, _); _ } ->
-              Store.Catalog.document_id (Store.Db.catalog ddb) name <> None
-            | _ -> false
-          in
           let refused = Atomic.make 0 and missed = Atomic.make 0 in
           join_all
             (List.init writers (fun w ->
@@ -1799,6 +1846,91 @@ let test_read_your_writes () =
           check int_ "no mutation refused" 0 (Atomic.get refused);
           check int_ "every ack is served by the snapshot after it" 0
             (Atomic.get missed)))
+
+(* Writers acknowledged by one group-commit batch find one committed
+   value, and it is published once: the generation moves at most once
+   per batch and once per checkpoint install (an automatic one runs
+   every 120 documents + tombstones), and every ack is still served by
+   the snapshot after it. *)
+let test_publish_once_per_value () =
+  let articles = 150 and writers = 8 and per = 60 in
+  let cfg =
+    {
+      Workload.Corpus.default with
+      articles;
+      seed = 13;
+      chapters_per_article = 1;
+      sections_per_chapter = 2;
+      paragraphs_per_section = 2;
+      words_per_paragraph = 10;
+    }
+  in
+  let base = Store.Db.of_documents (List.of_seq (Workload.Corpus.generate cfg)) in
+  let written =
+    Workload.Corpus.generate
+      { cfg with articles = writers; seed = 14; sections_per_chapter = 1 }
+    |> Seq.map (fun (_, tree) -> Xmlkit.Printer.to_string tree)
+    |> Array.of_seq
+  in
+  with_dir (fun dir ->
+      let live =
+        match Store.Live.open_dir ~base ~dir () with
+        | Ok o -> o.Store.Live.live
+        | Error e -> Alcotest.failf "open_dir: %s" (Store.Live.error_to_string e)
+      in
+      let scheduler =
+        Service.Scheduler.create ~workers:1 ~queue_depth:8 (live_snapshot live)
+      in
+      let updates = Service.Updates.create ~every_docs:120 ~live ~scheduler () in
+      Fun.protect
+        ~finally:(fun () ->
+          Service.Updates.shutdown updates;
+          Service.Scheduler.shutdown scheduler;
+          Store.Live.close live)
+        (fun () ->
+          let generation () =
+            (Service.Scheduler.snapshot scheduler).Service.Engine.generation
+          in
+          let g0 = generation () in
+          let refused = Atomic.make 0 and missed = Atomic.make 0 in
+          join_all
+            (List.init writers (fun w ->
+                 Thread.create
+                   (fun () ->
+                     for i = 0 to per - 1 do
+                       let name, outcome =
+                         if i mod 3 = 0 then begin
+                           let name =
+                             Printf.sprintf "article-%d.xml" (((w * per) + i) mod articles)
+                           in
+                           (name, Service.Updates.update updates ~name ~xml:written.(w))
+                         end
+                         else begin
+                           let name = Printf.sprintf "once-%d-%d.xml" w i in
+                           (name, Service.Updates.insert updates ~name ~xml:written.(w))
+                         end
+                       in
+                       match outcome with
+                       | Error _ -> Atomic.incr refused
+                       | Ok g ->
+                         let snap = Service.Scheduler.snapshot scheduler in
+                         if g > snap.Service.Engine.generation || not (served snap name)
+                         then Atomic.incr missed
+                     done)
+                   ()));
+          while Service.Updates.checkpoint_in_progress updates do
+            Thread.delay 0.005
+          done;
+          let s = Store.Live.stats live in
+          let bumps = generation () - g0 in
+          check int_ "no mutation refused" 0 (Atomic.get refused);
+          check int_ "every ack is served by the snapshot after it" 0
+            (Atomic.get missed);
+          check bool_ "a checkpoint installed" true (s.Store.Live.checkpoints > 0);
+          if bumps > s.Store.Live.gc_batches + s.Store.Live.checkpoints then
+            Alcotest.failf
+              "%d generation bumps for %d group-commit batches and %d checkpoints"
+              bumps s.Store.Live.gc_batches s.Store.Live.checkpoints))
 
 let test_protocol_mutation_roundtrip () =
   List.iter
@@ -2177,6 +2309,7 @@ let () =
         [
           tc "freeze / prepare / install" `Quick test_live_two_level_checkpoint;
           tc "abort restores one log" `Quick test_live_checkpoint_abort;
+          tc "image fault aborts to one log" `Quick test_live_image_fault;
           tc "crash before install merges logs" `Quick
             test_live_checkpoint_crash_before_install;
           tc "ingest during checkpoint stress" `Quick
@@ -2186,6 +2319,7 @@ let () =
         [
           tc "coordinator" `Quick test_updates_coordinator;
           tc "read your writes" `Quick test_read_your_writes;
+          tc "publish once per value" `Quick test_publish_once_per_value;
           tc "protocol roundtrip" `Quick test_protocol_mutation_roundtrip;
           tc "server dispatch" `Quick test_server_dispatch_mutations;
           tc "async checkpoint" `Quick test_updates_async_checkpoint;
